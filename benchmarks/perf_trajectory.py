@@ -10,18 +10,15 @@ generations keep the trajectory non-empty without hand-editing timings::
     PYTHONPATH=../src python perf_trajectory.py --label "my generation"      # print
     PYTHONPATH=../src python perf_trajectory.py --label "my generation" --append
 
-``--backend`` pins the kernel tier the measurements run under (see
-:mod:`repro.kernel.backend`), so a generation pair -- e.g. the array
-kernels re-measured back to back with the vectorized tier -- can be
-recorded in one sitting; pass ``--same-sitting`` on the second entry to
-mark the comparison strong.
+Pass ``--same-sitting`` when an entry is measured back to back with the
+previous one on the same host, to mark the comparison strong.
 
 ``--batch-throughput`` measures a different axis entirely: end-to-end
 ``run_batch`` items/second (dominators-only config) across CFG size bands
-x worker counts x transport (shared-memory CSR segments vs pickled
-snapshots), written to the JSON's top-level ``batch_throughput`` key.
-Absolute rates are host-bound; the number that travels is the shm/pickle
-ratio at equal worker count, which isolates the serialization tax.
+x corpus style x worker counts, written to the JSON's top-level
+``batch_throughput`` key.  Absolute rates are host-bound; the number that
+travels is the parallel/serial ratio at equal band, which says whether
+the process pool pays for its start-up and pickling.
 
 ``--edit-streams`` measures the incremental edit layer: per-edit
 maintenance cost of an :class:`repro.incremental.EditSession` driven
@@ -110,22 +107,18 @@ def measurements():
 
 
 def batch_throughput_series():
-    """items/sec of run_batch per band x corpus style x workers x transport.
+    """items/sec of run_batch per band x corpus style x workers.
 
-    Dominators-only config: the shared-memory path then stays array-only
-    in the worker (no Edge objects are ever built), which is exactly the
-    regime the zero-copy protocol targets.  workers=1 is the serial path
-    (no pool, no transport) and anchors each band.
+    Dominators-only config.  workers=1 is the serial path (no pool, no
+    pickling) and anchors each band; ``over_serial`` is each parallel
+    rate divided by it.
 
     Two corpus styles per band:
 
-    * ``distinct`` -- every item a different graph.  Both transports pay
-      one freeze per item somewhere (parent for shm, worker for pickle),
-      so the gap is just the serialization tax.
+    * ``distinct`` -- every item a different graph;
     * ``shared`` -- a sweep: every item the *same* graph (replay/fault
-      campaigns, config sweeps).  The batch exports one segment and ships
-      a handle per item, while the pickled path re-sends, re-decodes, and
-      re-freezes the full graph per item -- the zero-copy headline case.
+      campaigns, config sweeps), which the parallel path still pickles,
+      decodes and freezes once per item.
     """
     from repro.config import AnalysisConfig
     from repro.resilience.batch import run_batch
@@ -143,12 +136,9 @@ def batch_throughput_series():
             "shared": [(f"s{i}", (lambda c=cfgs[0]: c)) for i in range(items)],
         }
 
-        def run(corpus, workers, shm):
+        def run(corpus, workers):
             config = AnalysisConfig(
-                workers=workers,
-                retries=0,
-                analyses=("dominators",),
-                shared_batch_memory=shm,
+                workers=workers, retries=0, analyses=("dominators",)
             )
             best = None
             for _ in range(BATCH_REPEATS):
@@ -160,29 +150,21 @@ def batch_throughput_series():
             return items / best
 
         for style, corpus in corpora.items():
+            serial_rate = None
             for workers in BATCH_WORKERS:
-                base = {
+                rate = run(corpus, workers)
+                if serial_rate is None:
+                    serial_rate = rate
+                row = {
                     "band": band,
                     "corpus": style,
                     "statements": statements,
                     "avg_nodes": nodes,
                     "items": items,
                     "workers": workers,
+                    "items_per_s": round(rate, 2),
+                    "over_serial": round(rate / serial_rate, 2),
                 }
-                if workers == 1:
-                    row = {
-                        **base,
-                        "serial_items_per_s": round(run(corpus, 1, True), 2),
-                    }
-                else:
-                    shm_rate = run(corpus, workers, True)
-                    pickle_rate = run(corpus, workers, False)
-                    row = {
-                        **base,
-                        "shm_items_per_s": round(shm_rate, 2),
-                        "pickle_items_per_s": round(pickle_rate, 2),
-                        "shm_over_pickle": round(shm_rate / pickle_rate, 2),
-                    }
                 rows.append(row)
                 print(f"batch {row}", file=sys.stderr)
     return rows
@@ -225,17 +207,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default=None, help="generation label")
     parser.add_argument(
-        "--backend", default="auto", choices=("auto", "kernel", "vectorized"),
-        help="kernel tier to measure under (default auto)",
-    )
-    parser.add_argument(
         "--same-sitting", action="store_true",
         help="mark the entry as measured in the same sitting as the "
         "previous one (makes speedup_median_vs_previous a strong claim)",
     )
     parser.add_argument(
         "--batch-throughput", action="store_true",
-        help="measure run_batch items/sec (bands x workers x transport) "
+        help="measure run_batch items/sec (bands x corpus style x workers) "
         "into the JSON's batch_throughput key instead of a trajectory entry",
     )
     parser.add_argument(
@@ -302,14 +280,10 @@ def main(argv=None) -> int:
 
     previous = trajectory_file["trajectory"][-1] if trajectory_file["trajectory"] else None
 
-    from repro.kernel.backend import use_backend
-
-    with use_backend(args.backend):
-        measured = measurements()
+    measured = measurements()
     entry = {
         "git_rev": args.git_rev or git_rev(),
         "label": args.label,
-        "backend": args.backend,
         "cpu_count": os.cpu_count(),
         "measured_in_sitting_with_previous": bool(args.same_sitting),
         "measurements": measured,

@@ -6,11 +6,8 @@ control regions) on synthetic procedures, plus the batch driver serial vs
 parallel, and writes machine-readable JSON under ``benchmarks/results/``
 without needing pytest.
 
-The headline numbers per component are *ratios* against the reference (of
-the best wall-clock over ``--repeats`` runs): ``ratio`` for the array
-kernels and ``vectorized_ratio`` for the NumPy-vectorized tier (see
-:mod:`repro.kernel.backend`; without NumPy the vectorized tier degrades to
-the kernels and the two ratios coincide).  Ratios are measured within one
+The headline number per component is the *ratio* kernel/reference (of the
+best wall-clock over ``--repeats`` runs).  Ratios are measured within one
 process on one host, so they are stable across machines in a way absolute
 times are not; the CI perf-smoke job compares them against the checked-in
 ``perf_smoke_baseline.json`` and fails on a >25% regression
@@ -81,8 +78,7 @@ def _components() -> Dict[str, Tuple[Callable, Callable]]:
     """name -> (fast path, object-graph reference), both ``ctx -> result``.
 
     ``ctx`` is the per-size context built by :func:`run_kernel_bench`
-    (keys ``cfg``, ``proc``, ``reaching``).  The fast path is timed twice,
-    once per backend tier (kernel and vectorized).
+    (keys ``cfg``, ``proc``, ``reaching``).
     """
     from repro.controldep.regions_fast import control_regions, control_regions_reference
     from repro.core.cycle_equiv import (
@@ -118,14 +114,8 @@ def _components() -> Dict[str, Tuple[Callable, Callable]]:
 
 
 def run_kernel_bench(sizes: List[int], repeats: int, seed: int = 42) -> Dict[str, list]:
-    """Time every fast/reference pair on one procedure per size.
-
-    The fast path runs under both backend tiers (``kernel`` and
-    ``vectorized``); on a NumPy-less host the two tiers are the same code
-    and the two ratios come out (noise aside) equal.
-    """
+    """Time every fast/reference pair on one procedure per size."""
     from repro.dataflow.problems import ReachingDefinitions
-    from repro.kernel.backend import use_backend
     from repro.synth.structured import random_lowered_procedure
 
     graphs = []
@@ -139,10 +129,7 @@ def run_kernel_bench(sizes: List[int], repeats: int, seed: int = 42) -> Dict[str
     for name, (fast, reference) in _components().items():
         series = []
         for statements, ctx in graphs:
-            with use_backend("kernel"):
-                kernel_times = _sample(lambda: fast(ctx), repeats)
-            with use_backend("vectorized"):
-                vectorized_times = _sample(lambda: fast(ctx), repeats)
+            kernel_times = _sample(lambda: fast(ctx), repeats)
             reference_times = _sample(lambda: reference(ctx), repeats)
             cfg = ctx["cfg"]
             series.append(
@@ -151,10 +138,8 @@ def run_kernel_bench(sizes: List[int], repeats: int, seed: int = 42) -> Dict[str
                     "nodes": cfg.num_nodes,
                     "edges": cfg.num_edges,
                     "kernel": _stats(kernel_times),
-                    "vectorized": _stats(vectorized_times),
                     "reference": _stats(reference_times),
                     "ratio": min(kernel_times) / min(reference_times),
-                    "vectorized_ratio": min(vectorized_times) / min(reference_times),
                 }
             )
         results[name] = series
@@ -276,11 +261,9 @@ def check_against_baseline(
 ) -> List[str]:
     """Ratio regressions of ``record`` vs ``baseline``, as printed lines.
 
-    A component regresses when one of its reference-relative ratios
-    (``ratio`` for the kernel tier, ``vectorized_ratio`` for the
-    vectorized tier) at some size grew by more than ``tolerance``
-    (relative).  Missing components, sizes, or ratio kinds in either file
-    are skipped, not failed, so the suite can evolve.
+    A component regresses when its kernel/reference ratio at some size
+    grew by more than ``tolerance`` (relative).  Missing components or
+    sizes in either file are skipped, not failed, so the suite can evolve.
     """
     failures: List[str] = []
     base_components = baseline.get("components", {})
@@ -290,19 +273,16 @@ def check_against_baseline(
             base_row = base_series.get(row["statements"])
             if base_row is None:
                 continue
-            for kind in ("ratio", "vectorized_ratio"):
-                if kind not in row or kind not in base_row:
-                    continue
-                ratio, base_ratio = row[kind], base_row[kind]
-                limit = base_ratio * (1.0 + tolerance)
-                verdict = "ok" if ratio <= limit else "REGRESSED"
-                print(
-                    f"  {name} @ {row['statements']}: {kind} {ratio:.3f} "
-                    f"(baseline {base_ratio:.3f}, limit {limit:.3f}) {verdict}",
-                    file=out,
-                )
-                if ratio > limit:
-                    failures.append(f"{name} @ {row['statements']} ({kind})")
+            ratio, base_ratio = row["ratio"], base_row["ratio"]
+            limit = base_ratio * (1.0 + tolerance)
+            verdict = "ok" if ratio <= limit else "REGRESSED"
+            print(
+                f"  {name} @ {row['statements']}: ratio {ratio:.3f} "
+                f"(baseline {base_ratio:.3f}, limit {limit:.3f}) {verdict}",
+                file=out,
+            )
+            if ratio > limit:
+                failures.append(f"{name} @ {row['statements']}")
     return failures
 
 
@@ -413,11 +393,9 @@ def bench_main(argv: List[str], out) -> int:
         for row in series:
             print(
                 f"  {name} @ {row['statements']}: kernel "
-                f"{1000 * row['kernel']['min_s']:.1f} ms, vectorized "
-                f"{1000 * row['vectorized']['min_s']:.1f} ms, reference "
+                f"{1000 * row['kernel']['min_s']:.1f} ms, reference "
                 f"{1000 * row['reference']['min_s']:.1f} ms, "
-                f"ratio {row['ratio']:.3f}, "
-                f"vectorized_ratio {row['vectorized_ratio']:.3f}",
+                f"ratio {row['ratio']:.3f}",
                 file=out,
             )
 

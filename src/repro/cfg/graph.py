@@ -88,6 +88,10 @@ class CFG:
         self._edges: List[Edge] = []
         self._next_eid = 0
         self._version = 0
+        # The graph's shared AnalysisSession (repro.kernel.session_for).
+        # Kept here, not in a registry keyed by the graph, so the pair is
+        # one reference cycle that the collector frees with the graph.
+        self._session = None
         if start is not None:
             self.add_node(start)
         if end is not None and end != start:

@@ -65,16 +65,7 @@ class AnalysisConfig:
         switches and merges the shards (spans re-parented, metrics
         summed) back into this observer as items complete.
     Batch
-        ``workers``, ``retries``, ``backoff``, ``backoff_factor``,
-        ``shared_batch_memory`` (ship worker items as shared-memory CSR
-        handles instead of pickled snapshots when the platform allows).
-    Backend
-        ``backend`` -- kernel implementation tier: ``"auto"`` (vectorized
-        when NumPy is importable, else the array kernels), ``"kernel"``
-        (force the PR 3 array kernels), or ``"vectorized"`` (prefer the
-        NumPy/packed-bit tier; silently degrades to ``kernel`` without
-        NumPy -- the tiers are exact-parity by contract, so degradation
-        is always safe).
+        ``workers``, ``retries``, ``backoff``, ``backoff_factor``.
     Incremental
         ``incremental`` enables regional PST/cycle-equivalence maintenance
         under :class:`~repro.incremental.session.EditSession` deltas;
@@ -103,12 +94,6 @@ class AnalysisConfig:
     #: entries once their size-accounted cost (CSR array bytes, see
     #: :func:`repro.service.cache.frozen_cost_bytes`) exceeds the bound.
     max_cache_bytes: Optional[int] = None
-    #: Kernel implementation tier (see :mod:`repro.kernel.backend`).
-    backend: str = "auto"
-    #: Allow run_batch workers to attach parent-owned shared-memory CSR
-    #: segments (zero-copy) instead of unpickling a full snapshot per item.
-    #: Disabling forces the portable pickled path.
-    shared_batch_memory: bool = True
     #: Maintain cached analyses incrementally under CFG edit deltas (the
     #: :class:`~repro.incremental.session.EditSession` regional-splice
     #: path).  ``False`` makes every delta trigger a full recompute --
@@ -139,13 +124,6 @@ class AnalysisConfig:
             raise ValueError("max_cache_bytes must be >= 0")
         if not 0.0 <= self.verify_incremental_rate <= 1.0:
             raise ValueError("verify_incremental_rate must be within [0, 1]")
-        from repro.kernel.backend import VALID_BACKENDS
-
-        if self.backend not in VALID_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {', '.join(VALID_BACKENDS)}; "
-                f"got {self.backend!r}"
-            )
         if self.analyses is not None:
             # Normalize any iterable to a tuple so the config stays hashable.
             object.__setattr__(self, "analyses", tuple(self.analyses))

@@ -71,14 +71,9 @@ def control_regions(
     paper alludes to that never materializes ``T(S)`` as a graph.
     :func:`control_regions_reference` is the retained object-graph path.
     """
-    o = _obs._CURRENT
-    if o is None:
-        return _control_regions(cfg, validate, ticker)
-    o.count("dispatch", component="control_regions", impl="kernel")
-    with o.span(
-        "control_regions", impl="kernel", n_nodes=cfg.num_nodes, n_edges=cfg.num_edges
-    ):
-        return _control_regions(cfg, validate, ticker)
+    return _obs.dispatch(
+        "control_regions", "kernel", cfg, _control_regions, cfg, validate, ticker
+    )
 
 
 def _control_regions(
@@ -106,14 +101,9 @@ def control_regions_reference(cfg: CFG, validate: bool = True) -> List[List[Node
     Materializes the augmented graph and its node expansion ``T(S)``
     explicitly; kept as the oracle the kernel path is fuzzed against.
     """
-    o = _obs._CURRENT
-    if o is None:
-        return _control_regions_reference(cfg, validate)
-    o.count("dispatch", component="control_regions", impl="reference")
-    with o.span(
-        "control_regions", impl="reference", n_nodes=cfg.num_nodes, n_edges=cfg.num_edges
-    ):
-        return _control_regions_reference(cfg, validate)
+    return _obs.dispatch(
+        "control_regions", "reference", cfg, _control_regions_reference, cfg, validate
+    )
 
 
 def _control_regions_reference(cfg: CFG, validate: bool) -> List[List[NodeId]]:

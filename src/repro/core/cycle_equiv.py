@@ -383,12 +383,9 @@ def cycle_equivalence_of_cfg(
     reference (:func:`cycle_equivalence_of_cfg_reference`) because both
     follow the same DFS and the same new-class order.
     """
-    o = _obs._CURRENT
-    if o is None:
-        return _cycle_equivalence_of_cfg(cfg, validate, ticker)
-    o.count("dispatch", component="cycle_equiv", impl="kernel")
-    with o.span("cycle_equiv", impl="kernel", n_nodes=cfg.num_nodes, n_edges=cfg.num_edges):
-        return _cycle_equivalence_of_cfg(cfg, validate, ticker)
+    return _obs.dispatch(
+        "cycle_equiv", "kernel", cfg, _cycle_equivalence_of_cfg, cfg, validate, ticker
+    )
 
 
 def _cycle_equivalence_of_cfg(
@@ -422,18 +419,16 @@ def cycle_equivalence_of_cfg_reference(
         validate_cfg(cfg)
     if cfg.start is None or cfg.end is None:
         raise InvalidCFGError("CFG must have start and end nodes set")
-    o = _obs._CURRENT
-    if o is None:
-        return cycle_equivalence_scc(
-            cfg, root=cfg.start, virtual_edges=((cfg.end, cfg.start),), ticker=ticker
-        )
-    o.count("dispatch", component="cycle_equiv", impl="reference")
-    with o.span(
-        "cycle_equiv", impl="reference", n_nodes=cfg.num_nodes, n_edges=cfg.num_edges
-    ):
-        return cycle_equivalence_scc(
-            cfg, root=cfg.start, virtual_edges=((cfg.end, cfg.start),), ticker=ticker
-        )
+    return _obs.dispatch(
+        "cycle_equiv",
+        "reference",
+        cfg,
+        cycle_equivalence_scc,
+        cfg,
+        cfg.start,
+        ((cfg.end, cfg.start),),
+        ticker,
+    )
 
 
 class _ClassCounter:

@@ -209,12 +209,7 @@ def build_pst(
     :func:`build_pst_reference` is the retained object-graph builder, with
     identical output.
     """
-    o = _obs._CURRENT
-    if o is None:
-        return _build_pst(cfg, equiv, ticker)
-    o.count("dispatch", component="build_pst", impl="kernel")
-    with o.span("build_pst", impl="kernel", n_nodes=cfg.num_nodes, n_edges=cfg.num_edges):
-        return _build_pst(cfg, equiv, ticker)
+    return _obs.dispatch("build_pst", "kernel", cfg, _build_pst, cfg, equiv, ticker)
 
 
 def _build_pst(
@@ -234,14 +229,9 @@ def build_pst_reference(
     cfg: CFG, equiv: Optional[CycleEquivalence] = None, ticker=None
 ) -> ProgramStructureTree:
     """Object-graph reference for :func:`build_pst` (same contract)."""
-    o = _obs._CURRENT
-    if o is None:
-        return _build_pst_reference(cfg, equiv, ticker)
-    o.count("dispatch", component="build_pst", impl="reference")
-    with o.span(
-        "build_pst", impl="reference", n_nodes=cfg.num_nodes, n_edges=cfg.num_edges
-    ):
-        return _build_pst_reference(cfg, equiv, ticker)
+    return _obs.dispatch(
+        "build_pst", "reference", cfg, _build_pst_reference, cfg, equiv, ticker
+    )
 
 
 def _build_pst_reference(

@@ -15,6 +15,12 @@ from typing import Dict, Optional, Set
 from repro.cfg.graph import CFG, NodeId
 from repro.cfg.traversal import reverse_postorder
 from repro.dataflow.framework import BACKWARD, DataflowProblem, Solution
+from repro.kernel.dataflow import (
+    genkill_solver_compatible,
+    kernel_solve_iterative,
+    packed_solve_genkill,
+)
+from repro.kernel.registry import shared_frozen
 from repro.obs import observer as _obs
 from repro.resilience.guards import TICK_CHUNK, Ticker
 
@@ -28,58 +34,38 @@ def solve_iterative(
     :data:`~repro.resilience.guards.TICK_CHUNK`), so a deadline or step
     budget bounds slowly-converging (e.g. deep-chain) instances.
 
-    Runs the array kernel
-    (:func:`repro.kernel.dataflow.kernel_solve_iterative`) over the shared
-    frozen snapshot -- backward problems solve directly on the predecessor
-    CSR rows, with no reversed-graph copy.  On the vectorized backend tier,
-    stock gen/kill problems take the packed bit-vector solver
-    (:func:`repro.kernel.vectorized.vectorized_solve_genkill`) instead --
-    same fixpoint, same billing, machine-word transfer functions.
+    Runs an array kernel over the shared frozen snapshot -- backward
+    problems solve directly on the predecessor CSR rows, with no
+    reversed-graph copy.  Stock gen/kill problems take the packed bit-row
+    solver (:func:`repro.kernel.dataflow.packed_solve_genkill`); every
+    other problem takes :func:`repro.kernel.dataflow.kernel_solve_iterative`.
+    Both reach the same fixpoint and bill one step per worklist pop.
     :func:`solve_iterative_reference` is the retained object-graph
     implementation the fuzz oracles compare against.
     """
-    if (cfg.end if problem.direction == BACKWARD else cfg.start) is not None:
-        from repro.kernel.backend import vectorized_enabled
-        from repro.kernel.dataflow import kernel_solve_iterative
-        from repro.kernel.registry import shared_frozen
+    if (cfg.end if problem.direction == BACKWARD else cfg.start) is None:
+        return solve_iterative_reference(cfg, problem, ticker)
+    solver = (
+        packed_solve_genkill
+        if genkill_solver_compatible(problem)
+        else kernel_solve_iterative
+    )
+    return _obs.dispatch(
+        "solve_iterative", "kernel", cfg, _solve_kernel, solver, cfg, problem, ticker
+    )
 
-        solver = kernel_solve_iterative
-        impl = "kernel"
-        if vectorized_enabled():
-            from repro.kernel.vectorized import (
-                genkill_solver_compatible,
-                vectorized_solve_genkill,
-            )
 
-            if genkill_solver_compatible(problem):
-                solver = vectorized_solve_genkill
-                impl = "vectorized"
-        o = _obs._CURRENT
-        if o is None:
-            return solver(shared_frozen(cfg), problem, ticker)
-        o.count("dispatch", component="solve_iterative", impl=impl)
-        with o.span(
-            "solve_iterative",
-            impl=impl,
-            n_nodes=cfg.num_nodes,
-            n_edges=cfg.num_edges,
-        ):
-            return solver(shared_frozen(cfg), problem, ticker)
-    return solve_iterative_reference(cfg, problem, ticker)
+def _solve_kernel(solver, cfg: CFG, problem: DataflowProblem, ticker) -> Solution:
+    return solver(shared_frozen(cfg), problem, ticker)
 
 
 def solve_iterative_reference(
     cfg: CFG, problem: DataflowProblem, ticker: Optional[Ticker] = None
 ) -> Solution:
     """Object-graph reference for :func:`solve_iterative` (same contract)."""
-    o = _obs._CURRENT
-    if o is None:
-        return _solve_iterative_reference(cfg, problem, ticker)
-    o.count("dispatch", component="solve_iterative", impl="reference")
-    with o.span(
-        "solve_iterative", impl="reference", n_nodes=cfg.num_nodes, n_edges=cfg.num_edges
-    ):
-        return _solve_iterative_reference(cfg, problem, ticker)
+    return _obs.dispatch(
+        "solve_iterative", "reference", cfg, _solve_iterative_reference, cfg, problem, ticker
+    )
 
 
 def _solve_iterative_reference(

@@ -40,22 +40,19 @@ def immediate_dominators(
     retained object-graph implementation the fuzz oracles compare against.
     """
     root = require_root(cfg, cfg.start if root is None else root, "dominator computation")
+    return _obs.dispatch(
+        "immediate_dominators", "kernel", cfg, _immediate_dominators_kernel, cfg, root, ticker
+    )
+
+
+def _immediate_dominators_kernel(
+    cfg: CFG, root: NodeId, ticker: Optional[Ticker]
+) -> Dict[NodeId, NodeId]:
     from repro.kernel.dominance import kernel_immediate_dominators
     from repro.kernel.registry import shared_frozen
 
-    o = _obs._CURRENT
-    if o is None:
-        frozen = shared_frozen(cfg)
-        return kernel_immediate_dominators(frozen, frozen.index_of[root], ticker)
-    o.count("dispatch", component="immediate_dominators", impl="kernel")
-    with o.span(
-        "immediate_dominators",
-        impl="kernel",
-        n_nodes=cfg.num_nodes,
-        n_edges=cfg.num_edges,
-    ):
-        frozen = shared_frozen(cfg)
-        return kernel_immediate_dominators(frozen, frozen.index_of[root], ticker)
+    frozen = shared_frozen(cfg)
+    return kernel_immediate_dominators(frozen, frozen.index_of[root], ticker)
 
 
 def immediate_dominators_reference(
@@ -63,17 +60,9 @@ def immediate_dominators_reference(
 ) -> Dict[NodeId, NodeId]:
     """Object-graph reference for :func:`immediate_dominators` (same contract)."""
     root = require_root(cfg, cfg.start if root is None else root, "dominator computation")
-    o = _obs._CURRENT
-    if o is None:
-        return _immediate_dominators(cfg, root, ticker)
-    o.count("dispatch", component="immediate_dominators", impl="reference")
-    with o.span(
-        "immediate_dominators",
-        impl="reference",
-        n_nodes=cfg.num_nodes,
-        n_edges=cfg.num_edges,
-    ):
-        return _immediate_dominators(cfg, root, ticker)
+    return _obs.dispatch(
+        "immediate_dominators", "reference", cfg, _immediate_dominators, cfg, root, ticker
+    )
 
 
 def _immediate_dominators(

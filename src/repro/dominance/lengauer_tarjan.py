@@ -47,14 +47,9 @@ def lengauer_tarjan(
     object-graph implementation the fuzz oracles compare against.
     """
     root = require_root(cfg, cfg.start if root is None else root, "Lengauer-Tarjan")
-    o = _obs._CURRENT
-    if o is None:
-        return _lengauer_tarjan(cfg, root, ticker)
-    o.count("dispatch", component="lengauer_tarjan", impl="kernel")
-    with o.span(
-        "lengauer_tarjan", impl="kernel", n_nodes=cfg.num_nodes, n_edges=cfg.num_edges
-    ):
-        return _lengauer_tarjan(cfg, root, ticker)
+    return _obs.dispatch(
+        "lengauer_tarjan", "kernel", cfg, _lengauer_tarjan, cfg, root, ticker
+    )
 
 
 def _lengauer_tarjan(
@@ -79,14 +74,9 @@ def lengauer_tarjan_reference(
     the DFS numbering, charged in the same ``tick(2n)``.
     """
     root = require_root(cfg, cfg.start if root is None else root, "Lengauer-Tarjan")
-    o = _obs._CURRENT
-    if o is None:
-        return _lengauer_tarjan_reference(cfg, root, ticker)
-    o.count("dispatch", component="lengauer_tarjan", impl="reference")
-    with o.span(
-        "lengauer_tarjan", impl="reference", n_nodes=cfg.num_nodes, n_edges=cfg.num_edges
-    ):
-        return _lengauer_tarjan_reference(cfg, root, ticker)
+    return _obs.dispatch(
+        "lengauer_tarjan", "reference", cfg, _lengauer_tarjan_reference, cfg, root, ticker
+    )
 
 
 def _lengauer_tarjan_reference(

@@ -22,10 +22,8 @@ control regions       O(E) node-cycle-equivalence vs the FOW87
                       definition (Theorem 7) vs the CFS90 refinement
 CSR kernels           every array kernel vs its retained object-graph
                       reference, exact (identical ids and shapes, not
-                      just equal partitions)
-backend tiers         reference vs array kernel vs vectorized
-                      (NumPy/packed-bit) under ``use_backend``, same
-                      exactness, including dataflow fixpoints
+                      just equal partitions), including the RD / LV / AE
+                      dataflow fixpoints
 dataflow              iterative fixpoint vs PST elimination vs QPG
                       sparse solve, for RD / LV / AE
 φ-placement           iterated dominance frontiers vs PST placement
@@ -275,9 +273,11 @@ def _check_kernel_reference(case: FuzzCase) -> Optional[str]:
 
     Stricter than the partition-level oracles above: class ids must be
     identical (not merely the same partition), the PST must have the same
-    shape region by region, and Lengauer-Tarjan / control-region outputs
-    must match verbatim -- the kernels promise bit-identical results, so
-    any slack here would hide a divergence.
+    shape region by region, and Lengauer-Tarjan / iterative-dominator /
+    control-region outputs must match verbatim, and so must the
+    reaching-definitions, live-variables and available-expressions
+    fixpoints -- the kernels promise bit-identical results, so any slack
+    here would hide a divergence.
     """
     cfg = case.cfg
     kernel = cycle_equivalence_of_cfg(cfg, validate=False)
@@ -293,6 +293,8 @@ def _check_kernel_reference(case: FuzzCase) -> Optional[str]:
 
     diff = _diff_idoms(
         lengauer_tarjan(cfg), lengauer_tarjan_reference(cfg), "kernel", "reference"
+    ) or _diff_idoms(
+        immediate_dominators(cfg), immediate_dominators_reference(cfg), "kernel", "reference"
     )
     if diff:
         return diff
@@ -306,60 +308,23 @@ def _check_kernel_reference(case: FuzzCase) -> Optional[str]:
     reference_cr = control_regions_reference(cfg, validate=False)
     if kernel_cr != reference_cr:
         return f"control regions differ: kernel {kernel_cr} != reference {reference_cr}"
-    return None
 
-
-def _check_backend_three_way(case: FuzzCase) -> Optional[str]:
-    """Reference vs array kernel vs vectorized tier agree *exactly*.
-
-    Same strictness as :func:`_check_kernel_reference`, one axis more: the
-    public entry points are run under ``use_backend("kernel")`` and
-    ``use_backend("vectorized")`` and both tiers must return bit-identical
-    cycle-equivalence class ids, idoms, PST shape, control regions, and
-    dataflow fixpoints -- and match the object-graph references.  Without
-    NumPy the vectorized leg resolves to the array kernels (the documented
-    degradation), so the check never skips, it just collapses to two-way.
-    """
-    from repro.kernel.backend import use_backend
-
-    cfg = case.cfg
     proc = case.proc
-
-    def tier_snapshot() -> tuple:
-        ce = cycle_equivalence_of_cfg(cfg, validate=False)
-        class_ids = tuple(ce.class_of[edge] for edge in cfg.edges)
-        idom = immediate_dominators(cfg)
-        pst = _pst_signature(build_pst(cfg))
-        cr = control_regions(cfg, validate=False)
-        flows = tuple(
-            solve_iterative(proc.cfg, problem_cls(proc))
-            for problem_cls in (ReachingDefinitions, LiveVariables, AvailableExpressions)
-        )
-        return class_ids, idom, pst, cr, flows
-
-    with use_backend("kernel"):
-        kernel = tier_snapshot()
-    with use_backend("vectorized"):
-        vectorized = tier_snapshot()
-    reference = (
-        tuple(
-            cycle_equivalence_of_cfg_reference(cfg, validate=False).class_of[edge]
-            for edge in cfg.edges
-        ),
-        immediate_dominators_reference(cfg),
-        _pst_signature(build_pst_reference(cfg)),
-        control_regions_reference(cfg, validate=False),
-        tuple(
-            solve_iterative_reference(proc.cfg, problem_cls(proc))
-            for problem_cls in (ReachingDefinitions, LiveVariables, AvailableExpressions)
-        ),
-    )
-    labels = ("cycle-equiv class ids", "idoms", "PST shape", "control regions", "dataflow fixpoints")
-    for name, k, v, r in zip(labels, kernel, vectorized, reference):
-        if k != v:
-            return f"{name}: kernel tier != vectorized tier"
-        if k != r:
-            return f"{name}: kernel tier != reference"
+    for problem_cls in (ReachingDefinitions, LiveVariables, AvailableExpressions):
+        problem = problem_cls(proc)
+        kernel_flow = solve_iterative(proc.cfg, problem)
+        reference_flow = solve_iterative_reference(proc.cfg, problem)
+        if kernel_flow != reference_flow:
+            nodes = [
+                node
+                for node in proc.cfg.nodes
+                if kernel_flow.before[node] != reference_flow.before[node]
+                or kernel_flow.after[node] != reference_flow.after[node]
+            ]
+            return (
+                f"{problem_cls.__name__} fixpoint differs: kernel != reference "
+                f"at nodes {nodes[:5]!r}"
+            )
     return None
 
 
@@ -609,7 +574,6 @@ ALL_ORACLES: List[Oracle] = [
     Oracle("sese/definition", _check_sese_definition),
     Oracle("pst/structure", _check_pst_structure),
     Oracle("kernel/reference", _check_kernel_reference),
-    Oracle("backend/three-way", _check_backend_three_way),
     Oracle("dominators/matrix", _check_dominators),
     Oracle("postdominators/pair", _check_postdominators),
     Oracle("control-regions/matrix", _check_control_regions),

@@ -11,10 +11,11 @@ time bounds in Python.  This package provides the compact counterpart:
 * array-based kernel variants of the three hottest algorithms
   (:func:`~repro.kernel.cycle_equiv.kernel_cycle_equivalence`,
   :func:`~repro.kernel.dominance.kernel_lengauer_tarjan`,
-  :func:`~repro.kernel.dataflow.kernel_solve_iterative`), which the public
-  entry points in :mod:`repro.core.cycle_equiv`,
-  :mod:`repro.dominance.lengauer_tarjan`, and
-  :mod:`repro.dataflow.iterative` run by default (the object-graph
+  :func:`~repro.kernel.dataflow.kernel_solve_iterative`, plus
+  :func:`~repro.kernel.dataflow.packed_solve_genkill` on bit rows for the
+  stock gen/kill problems), which the public entry points in
+  :mod:`repro.core.cycle_equiv`, :mod:`repro.dominance.lengauer_tarjan`,
+  and :mod:`repro.dataflow.iterative` run by default (the object-graph
   implementations are retained as reference oracles).
 * :class:`~repro.kernel.session.AnalysisSession` -- a per-graph memo of
   derived artifacts (frozen snapshot, cycle equivalence, SESE regions, PST,

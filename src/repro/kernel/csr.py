@@ -55,7 +55,6 @@ class FrozenCFG:
         "self_loops",
         "validated",
         "undirected",
-        "derived",
     )
 
     def __init__(
@@ -107,12 +106,6 @@ class FrozenCFG:
         # equivalence kernel and keyed by the virtual-edge tuple.  Like the
         # snapshot itself these are structural and read-only.
         self.undirected: Dict[tuple, tuple] = {}
-        # Other derived *structural* caches (DFS skeletons, the Theorem 8
-        # node expansion, NumPy mirrors of the arrays).  Same contract as
-        # ``undirected``: entries depend only on the snapshot's structure,
-        # are never mutated by consumers, and die with the snapshot -- so
-        # caching them cannot leak analysis results across calls.
-        self.derived: Dict[tuple, object] = {}
 
     @property
     def cfg(self) -> CFG:

@@ -52,41 +52,16 @@ def kernel_cycle_equivalence(
     class ids, one per edge index (virtual edges are not reported).
     Raises :class:`~repro.cfg.graph.InvalidCFGError` on disconnected or
     bridged inputs, like the reference.
-
-    On the vectorized backend tier the undirected CSR is built with NumPy,
-    the structural DFS skeleton is memoized on the snapshot (same contract
-    as the ``undirected`` cache: derived read-only structure, keyed by the
-    virtual-edge tuple and root), and the final naming pass scatters class
-    ids in bulk.  Ticker billing is identical on every tier -- the DFS
-    steps are charged even when the skeleton comes from the cache -- so
-    step budgets and deadlines behave the same regardless of backend.
     """
-    from repro.kernel.backend import vectorized_enabled
-
     root = frozen.start if root is None else root
     key = tuple(virtual_edges)
-    use_np = vectorized_enabled()
     csr = frozen.undirected.get(key)
     if csr is None:
-        if use_np:
-            from repro.kernel.vectorized import vectorized_undirected_csr
-
-            csr = vectorized_undirected_csr(
-                frozen.num_nodes, frozen.edge_src, frozen.edge_dst, key
-            )
-        else:
-            csr = _undirected_csr(
-                frozen.num_nodes, frozen.edge_src, frozen.edge_dst, key
-            )
+        csr = _undirected_csr(
+            frozen.num_nodes, frozen.edge_src, frozen.edge_dst, key
+        )
         frozen.undirected[key] = csr
-    skeleton = None
-    sink: Optional[list] = None
-    if use_np:
-        skeleton_key = ("ce_dfs", key, root)
-        skeleton = frozen.derived.get(skeleton_key)
-        if skeleton is None:
-            sink = []
-    classes = _cycle_equivalence_arrays(
+    return _cycle_equivalence_arrays(
         frozen.num_nodes,
         frozen.edge_src,
         frozen.edge_dst,
@@ -95,13 +70,7 @@ def kernel_cycle_equivalence(
         ticker,
         frozen.node_ids,
         csr,
-        skeleton=skeleton,
-        skeleton_sink=sink,
-        vectorized=use_np,
     )
-    if sink:
-        frozen.derived[skeleton_key] = sink[0]
-    return classes
 
 
 def _undirected_csr(
@@ -174,28 +143,49 @@ def _undirected_csr(
     return self_loops, ue_edge, n_real, n_ue, adj_off, adj, adj_other
 
 
-def _dfs_skeleton(
+def _cycle_equivalence_arrays(
     n: int,
+    esrc: List[int],
+    edst: List[int],
     root: int,
-    csr: Tuple,
+    virtual_edges: Sequence[Tuple[int, int]],
+    ticker: Optional[Ticker],
     node_ids: Optional[Sequence[object]] = None,
-) -> Tuple:
-    """The undirected DFS of Figure 4, as a purely structural artifact.
+    csr: Optional[Tuple] = None,
+) -> List[int]:
+    """The Figure 4 kernel over raw arrays (see :func:`kernel_cycle_equivalence`).
 
-    Returns ``(node_at, parent_ue, first_child, next_sib, ub_head,
-    ub_next, db_head, db_next, ue_dest)`` -- DFS numbering, tree edges and
-    backedge orientation, with the per-node collections as linked lists
-    appended at the tail so iteration order matches the reference's Python
-    lists exactly (class ids depend on it).
-
-    The skeleton depends only on ``csr`` and ``root``, contains no fault
-    sites, and is never written by the brackets sweep -- which is what
-    makes it safe for the vectorized tier to cache on
-    ``FrozenCFG.derived`` and reuse across calls.  Raises
-    :class:`InvalidCFGError` when the undirected multigraph is
-    disconnected (the sweep would misbehave on a partial forest).
+    Exposed separately so derived graphs (the node expansion of Theorem 8)
+    can run it without materializing a CFG or a snapshot.  ``csr`` is an
+    optional precomputed :func:`_undirected_csr` for the same inputs.
     """
-    _self_loops, _ue_edge, _n_real, n_ue, adj_off, adj, adj_other = csr
+    m = len(esrc)
+    if n == 0:
+        return []
+    tick = None if ticker is None else ticker.tick
+    from repro.core import bracketlist as _bracketlist_mod
+
+    ce_faults = _FAULTS
+    bl_faults = _bracketlist_mod._FAULTS
+
+    if csr is None:
+        csr = _undirected_csr(n, esrc, edst, virtual_edges)
+    self_loops, ue_edge, n_real, n_ue, adj_off, adj, adj_other = csr
+
+    # Self-loops are singleton classes up front, exactly like the reference
+    # (which scans edges in order and names them as it skips them).
+    classes = [-1] * m
+    next_class = 0
+    for e in self_loops:
+        classes[e] = next_class
+        next_class += 1
+
+    # ------------------------------------------------------------------
+    # Undirected DFS: numbering, tree edges, backedge orientation.  The
+    # per-node collections are linked lists in next-pointer arrays,
+    # appended at the tail so iteration order matches the reference's
+    # Python lists exactly (class ids depend on it).
+    # ------------------------------------------------------------------
     dfsnum = [-1] * n
     dfsnum[root] = 0
     node_at = [root]
@@ -211,6 +201,11 @@ def _dfs_skeleton(
     db_next = [-1] * n_ue
     ue_dest = [0] * n_ue  # backedge destination DFS number
     processed = bytearray(n_ue)
+
+    if tick is not None:
+        tick(n + n_real)  # the DFS about to run is O(V + E)
+    o = _obs._CURRENT
+    dfs_span = o.span("cycle_equiv.dfs") if o is not None else None
 
     # frames: [node, dfsnum, next adjacency slot, row end]
     stack = [[root, 0, adj_off[root], adj_off[root + 1]]]
@@ -263,6 +258,10 @@ def _dfs_skeleton(
             db_tail[onum] = ue
         if not advanced:
             stack.pop()
+    if dfs_span is not None:
+        dfs_span.finish()
+    if ticker is not None and ticker.profile is not None:
+        ticker.mark("dfs")
 
     if len(node_at) != n:
         ids = node_ids if node_ids is not None else list(range(n))
@@ -272,86 +271,6 @@ def _dfs_skeleton(
             f"{ids[root]!r} in the undirected multigraph (cycle equivalence "
             "requires a strongly connected input)"
         )
-    return (
-        node_at,
-        parent_ue,
-        first_child,
-        next_sib,
-        ub_head,
-        ub_next,
-        db_head,
-        db_next,
-        ue_dest,
-    )
-
-
-def _cycle_equivalence_arrays(
-    n: int,
-    esrc: List[int],
-    edst: List[int],
-    root: int,
-    virtual_edges: Sequence[Tuple[int, int]],
-    ticker: Optional[Ticker],
-    node_ids: Optional[Sequence[object]] = None,
-    csr: Optional[Tuple] = None,
-    skeleton: Optional[Tuple] = None,
-    skeleton_sink: Optional[list] = None,
-    vectorized: bool = False,
-) -> List[int]:
-    """The Figure 4 kernel over raw arrays (see :func:`kernel_cycle_equivalence`).
-
-    Exposed separately so derived graphs (the node expansion of Theorem 8)
-    can run it without materializing a CFG or a snapshot.  ``csr`` is an
-    optional precomputed :func:`_undirected_csr` for the same inputs;
-    ``skeleton`` an optional precomputed :func:`_dfs_skeleton` over that
-    CSR (computed -- and appended to ``skeleton_sink`` when given -- if
-    absent).  Ticker charges are identical whether or not the skeleton is
-    supplied, so cached and uncached runs burn the same step budget.
-    """
-    m = len(esrc)
-    if n == 0:
-        return []
-    tick = None if ticker is None else ticker.tick
-    from repro.core import bracketlist as _bracketlist_mod
-
-    ce_faults = _FAULTS
-    bl_faults = _bracketlist_mod._FAULTS
-
-    if csr is None:
-        csr = _undirected_csr(n, esrc, edst, virtual_edges)
-    self_loops, ue_edge, n_real, n_ue, adj_off, adj, adj_other = csr
-
-    # Self-loops are singleton classes up front, exactly like the reference
-    # (which scans edges in order and names them as it skips them).
-    classes = [-1] * m
-    next_class = 0
-    for e in self_loops:
-        classes[e] = next_class
-        next_class += 1
-
-    if tick is not None:
-        tick(n + n_real)  # the DFS (run or replayed from cache) is O(V + E)
-    o = _obs._CURRENT
-    if skeleton is None:
-        dfs_span = o.span("cycle_equiv.dfs") if o is not None else None
-        skeleton = _dfs_skeleton(n, root, csr, node_ids)
-        if dfs_span is not None:
-            dfs_span.finish()
-        if skeleton_sink is not None:
-            skeleton_sink.append(skeleton)
-    if ticker is not None and ticker.profile is not None:
-        ticker.mark("dfs")
-    (
-        node_at,
-        parent_ue,
-        first_child,
-        next_sib,
-        ub_head,
-        ub_next,
-        db_head,
-        db_next,
-        ue_dest,
-    ) = skeleton
 
     # ------------------------------------------------------------------
     # Figure 4 main loop, reverse depth-first order.  Brackets live in
@@ -533,19 +452,11 @@ def _cycle_equivalence_arrays(
         ticker.mark("brackets")
 
     naming_span = o.span("cycle_equiv.naming") if o is not None else None
-    named = False
-    if vectorized:
-        from repro.kernel.vectorized import vectorized_name_classes
-
-        named = vectorized_name_classes(
-            classes, ue_edge, ue_class, n_real
-        )
-    if not named:
-        for e, cls in zip(ue_edge, ue_class):
-            if e == -1:
-                continue
-            assert cls != -1, f"unlabelled undirected edge {e}"
-            classes[e] = cls
+    for e, cls in zip(ue_edge, ue_class):
+        if e == -1:
+            continue
+        assert cls != -1, f"unlabelled undirected edge {e}"
+        classes[e] = cls
     if naming_span is not None:
         naming_span.finish()
     if ticker is not None and ticker.profile is not None:
@@ -562,16 +473,7 @@ def kernel_control_region_classes(
     directly in array form (``2N`` nodes, ``N + E + 1`` edges -- never
     materialized as a CFG) and reads off the classes of the representative
     ``n_i -> n_o`` edges, which by Theorem 8 are the node classes of ``S``.
-
-    On the vectorized tier the expansion arrays, their undirected CSR, and
-    the DFS skeleton over them are built with NumPy where it pays and
-    cached in ``frozen.derived`` -- all three are pure structure, so
-    repeat queries against an unchanged snapshot skip straight to the
-    brackets sweep.  Ticker billing is unchanged by the cache (see
-    :func:`_cycle_equivalence_arrays`).
     """
-    from repro.kernel.backend import vectorized_enabled
-
     n = frozen.num_nodes
     if n == 0:
         return []
@@ -580,52 +482,20 @@ def kernel_control_region_classes(
     esrc = frozen.edge_src
     edst = frozen.edge_dst
     m = frozen.num_edges
-    use_np = vectorized_enabled()
-    cached = frozen.derived.get(("expansion",)) if use_np else None
-    if cached is not None:
-        x_src, x_dst, csr, skeleton = cached
-        sink: Optional[list] = None
-    else:
-        if use_np:
-            from repro.kernel.vectorized import vectorized_expansion
-
-            x_src, x_dst = vectorized_expansion(
-                n, esrc, edst, frozen.start, frozen.end
-            )
-            from repro.kernel.vectorized import vectorized_undirected_csr
-
-            csr = vectorized_undirected_csr(2 * n, x_src, x_dst, ())
-        else:
-            # Node k of the snapshot becomes k_i = 2k, k_o = 2k + 1;
-            # representative edges come first so node k's class is
-            # classes[k].
-            x_src = [0] * (n + m + 1)
-            x_dst = [0] * (n + m + 1)
-            for k in range(n):
-                x_src[k] = 2 * k
-                x_dst[k] = 2 * k + 1
-            for e in range(m):
-                x_src[n + e] = 2 * esrc[e] + 1
-                x_dst[n + e] = 2 * edst[e]
-            # The end -> start return edge of S, expanded like any other edge.
-            x_src[n + m] = 2 * frozen.end + 1
-            x_dst[n + m] = 2 * frozen.start
-            csr = None
-        skeleton = None
-        sink = [] if use_np else None
+    # Node k of the snapshot becomes k_i = 2k, k_o = 2k + 1; representative
+    # edges come first so node k's class is classes[k].
+    x_src = [0] * (n + m + 1)
+    x_dst = [0] * (n + m + 1)
+    for k in range(n):
+        x_src[k] = 2 * k
+        x_dst[k] = 2 * k + 1
+    for e in range(m):
+        x_src[n + e] = 2 * esrc[e] + 1
+        x_dst[n + e] = 2 * edst[e]
+    # The end -> start return edge of S, expanded like any other edge.
+    x_src[n + m] = 2 * frozen.end + 1
+    x_dst[n + m] = 2 * frozen.start
     classes = _cycle_equivalence_arrays(
-        2 * n,
-        x_src,
-        x_dst,
-        2 * frozen.start,
-        (),
-        ticker,
-        csr=csr,
-        skeleton=skeleton,
-        skeleton_sink=sink,
-        vectorized=use_np,
+        2 * n, x_src, x_dst, 2 * frozen.start, (), ticker
     )
-    if use_np and cached is None:
-        if csr is not None and sink:
-            frozen.derived[("expansion",)] = (x_src, x_dst, csr, sink[0])
     return classes[:n]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.kernel.backend import numpy_or_none, vectorized_enabled
 from repro.kernel.csr import FrozenCFG
 from repro.resilience.guards import Ticker
 
@@ -33,14 +32,6 @@ def kernel_lengauer_tarjan(
     ``idom[root] == root``.  With ``reverse=True`` the edge direction flips
     (successor rows become predecessor rows and vice versa), yielding
     postdominators when called with ``root=frozen.end``.
-
-    On the vectorized backend tier the step 1 artifacts -- DFS numbering
-    plus the predecessor rows pre-translated to DFS numbers (the batched
-    form the semidominator sweep consumes) -- are purely structural per
-    ``(root, reverse)``, so they are built once (the translation as one
-    NumPy gather over the whole edge array) and cached on
-    ``frozen.derived``.  Ticker billing is identical on every tier: the
-    DFS charge lands whether or not the cache hits.
     """
     n = frozen.num_nodes
     if reverse:
@@ -56,47 +47,28 @@ def kernel_lengauer_tarjan(
     tick = None if ticker is None else ticker.tick
     faults = _FAULTS
 
-    use_np = vectorized_enabled()
-    cache_key = ("lt_dfs", root, reverse)
-    cached = frozen.derived.get(cache_key) if use_np else None
-    if cached is not None:
-        nr, num, vertex, parent, pred_num = cached
-    else:
-        # --- step 1: DFS numbering (1-based; 0 is a sentinel) -------------
-        num = [0] * n
-        vertex = [0] * (n + 1)
-        parent = [0] * (n + 1)
-        dfs_stack = [(root, 0)]
-        counter = 0
-        while dfs_stack:
-            node, par = dfs_stack.pop()
-            if num[node]:
-                continue
-            counter += 1
-            num[node] = counter
-            vertex[counter] = node
-            parent[counter] = par
-            lo = succ_off[node]
-            for i in range(succ_off[node + 1] - 1, lo - 1, -1):
-                nxt = succ_dst[i]
-                if not num[nxt]:
-                    dfs_stack.append((nxt, counter))
-        nr = counter
-        pred_num = None
-        if use_np:
-            np = numpy_or_none()
-            if np is not None and frozen.num_edges:
-                # Semidominator batching: translate every predecessor row to
-                # DFS numbers in one gather, shedding an indirection per edge
-                # per sweep visit.
-                num_a = np.fromiter(num, dtype=np.int64, count=n)
-                src_a = np.fromiter(
-                    pred_src, dtype=np.int64, count=len(pred_src)
-                )
-                pred_num = num_a[src_a].tolist()
-                frozen.derived[cache_key] = (nr, num, vertex, parent, pred_num)
+    # --- step 1: DFS numbering (1-based; 0 is a sentinel) -----------------
+    num = [0] * n
+    vertex = [0] * (n + 1)
+    parent = [0] * (n + 1)
+    dfs_stack = [(root, 0)]
+    counter = 0
+    while dfs_stack:
+        node, par = dfs_stack.pop()
+        if num[node]:
+            continue
+        counter += 1
+        num[node] = counter
+        vertex[counter] = node
+        parent[counter] = par
+        lo = succ_off[node]
+        for i in range(succ_off[node + 1] - 1, lo - 1, -1):
+            nxt = succ_dst[i]
+            if not num[nxt]:
+                dfs_stack.append((nxt, counter))
+    nr = counter
     if tick is not None:
-        tick(2 * nr)  # the DFS numbering counts for both passes
+        tick(2 * nr)  # the DFS numbering just done counts for both passes
     if ticker is not None and ticker.profile is not None:
         ticker.mark("dfs")
 
@@ -118,7 +90,7 @@ def kernel_lengauer_tarjan(
         node = vertex[w]
         sw = semi[w]
         for i in range(pred_off[node], pred_off[node + 1]):
-            v = pred_num[i] if pred_num is not None else num[pred_src[i]]
+            v = num[pred_src[i]]
             if v == 0:
                 continue  # unreachable predecessor
             # EVAL(v), inlined: this runs once per edge and dominates the

@@ -118,30 +118,6 @@ def registry_stats() -> dict:
     return stats
 
 
-def adopt_frozen(cfg: CFG, frozen: FrozenCFG) -> FrozenCFG:
-    """Seed the registry with an externally built snapshot of ``cfg``.
-
-    Used by the shared-memory batch path
-    (:func:`repro.kernel.shm.attach_frozen`): the worker's snapshot arrays
-    are zero-copy views into a parent-owned segment, so freezing again
-    would defeat the point.  The snapshot must describe the CFG's current
-    ``version``; from here on :func:`shared_frozen` treats it exactly like
-    one it froze itself (including LRU accounting when a bound is armed).
-    """
-    if frozen.version != cfg.version:
-        raise ValueError(
-            "adopt_frozen: snapshot version "
-            f"{frozen.version} != CFG version {cfg.version}"
-        )
-    _FROZEN[cfg] = frozen
-    if _LRU is not None:
-        from repro.service.cache import frozen_cost_bytes
-
-        _drain_dead_refs()
-        _LRU.put(_tracking_ref(cfg), None, frozen_cost_bytes(frozen))
-    return frozen
-
-
 def shared_frozen(cfg: CFG) -> FrozenCFG:
     """The current snapshot of ``cfg``, freezing (or re-freezing) on demand.
 

@@ -19,13 +19,12 @@ drops artifacts explicitly -- all of them, or a named subset (the engine
 does a full drop between retry attempts so a corrupted artifact is never
 reused).
 
-``session_for`` maintains one session per live CFG in a weak-key registry,
-mirroring :func:`repro.kernel.registry.shared_frozen` one layer up.
+``session_for`` hands out one session per live CFG, stored on the graph
+itself so that it dies with the graph.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -285,17 +284,13 @@ class AnalysisSession:
         )
 
 
-_SESSIONS: "weakref.WeakKeyDictionary[CFG, AnalysisSession]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def session_for(cfg: CFG, config: Optional["AnalysisConfig"] = None) -> AnalysisSession:
     """The process-wide session for ``cfg`` (created on first use).
 
-    Sessions are held weakly, so they die with their graphs.  Callers that
-    need isolation (the resilience engine) construct their own
-    :class:`AnalysisSession` instead.
+    The session is kept on the graph (``cfg._session``): session and
+    graph reference each other, so neither outlives the other once the
+    caller drops the graph.  Callers that need isolation (the resilience
+    engine) construct their own :class:`AnalysisSession` instead.
 
     ``config`` (an :class:`~repro.config.AnalysisConfig`) contributes its
     ``observer`` -- passing one (re)binds the session's metrics sink, so
@@ -304,7 +299,7 @@ def session_for(cfg: CFG, config: Optional["AnalysisConfig"] = None) -> Analysis
     the session's artifact byte bound via
     :meth:`AnalysisSession.set_max_cache_bytes`.
     """
-    session = _SESSIONS.get(cfg)
+    session = cfg._session
     if session is None:
         session = AnalysisSession(
             cfg,
@@ -312,7 +307,7 @@ def session_for(cfg: CFG, config: Optional["AnalysisConfig"] = None) -> Analysis
                 config.max_cache_bytes if config is not None else None
             ),
         )
-        _SESSIONS[cfg] = session
+        cfg._session = session
     elif config is not None and config.max_cache_bytes is not None:
         session.set_max_cache_bytes(config.max_cache_bytes)
     if config is not None and config.observer is not None:

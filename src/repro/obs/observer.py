@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, Optional, TypeVar
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import Span, TraceRecorder
@@ -215,6 +215,26 @@ def install(observer: Optional[Observer]) -> Optional[Observer]:
     previous = _CURRENT
     _CURRENT = observer
     return previous
+
+
+T = TypeVar("T")
+
+
+def dispatch(component: str, impl: str, cfg: Any, fn: Callable[..., T], *args: Any) -> T:
+    """Run ``fn(*args)`` as one call of the ``component`` entry point.
+
+    With no observer installed this is the single call ``fn(*args)``.
+    Otherwise the call counts ``dispatch{component, impl}`` and runs
+    inside a span named ``component`` carrying ``impl`` (``kernel`` or
+    ``reference``) and the graph's ``n_nodes`` / ``n_edges`` -- the sizes
+    the linearity watchdog fits.
+    """
+    o = _CURRENT
+    if o is None:
+        return fn(*args)
+    o.count("dispatch", component=component, impl=impl)
+    with o.span(component, impl=impl, n_nodes=cfg.num_nodes, n_edges=cfg.num_edges):
+        return fn(*args)
 
 
 @contextmanager

@@ -34,7 +34,6 @@ duplicates win.
 from __future__ import annotations
 
 import json
-import os
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -65,23 +64,6 @@ class BatchSerialFallback(UserWarning):
         super().__init__(
             f"run_batch: workers={workers} requested but running serially: "
             + ", ".join(self.reasons)
-        )
-
-
-class BatchPickleFallback(UserWarning):
-    """A parallel ``run_batch`` shipped items by pickling, not shared memory.
-
-    Still parallel -- only the transport degraded.  Emitted once per batch
-    when ``config.shared_batch_memory`` asked for the zero-copy path but
-    the platform (or ``REPRO_NO_SHM``) cannot provide it; carries the
-    machine-readable ``reason`` so callers can branch without parsing.
-    """
-
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(
-            "run_batch: shared-memory transport unavailable "
-            f"({reason}); falling back to pickled snapshots"
         )
 
 
@@ -287,21 +269,12 @@ def run_batch(
     corresponding config fields.
 
     ``config.workers > 1`` fans the engine calls out over a process pool:
-    thunks still run in this process (they are arbitrary closures), and
-    each item is analyzed -- retries, backoff and all -- in a worker, so
-    one item's crash cannot take down the batch or its siblings.  With
-    ``config.shared_batch_memory`` (the default) on a platform offering
-    ``multiprocessing.shared_memory``, the parent freezes each CFG once
-    into a shared-memory CSR segment and ships only the few-dozen-byte
-    handle; workers map the same read-only pages (see
-    :mod:`repro.kernel.shm`).  Segments are parent-owned: each is unlinked
-    when its future resolves (worker crashes included) and the batch
-    sweeps any stragglers on exit.  When shared memory is unavailable (or
-    ``REPRO_NO_SHM`` is set) the batch stays parallel but re-encodes each
-    CFG as a plain pickled tuple, announced once via
-    :class:`BatchPickleFallback`.  Results keep the submission order of
-    ``items`` and the checkpoint is appended as futures complete, exactly
-    as in serial mode.
+    thunks still run in this process (they are arbitrary closures), but
+    each CFG is re-encoded as a plain tuple and analyzed -- retries,
+    backoff and all -- in a worker, so one item's crash (or the worker's
+    death) cannot take down the batch or its siblings.  Results keep the
+    submission order of ``items`` and the checkpoint is appended as
+    futures complete, exactly as in serial mode.
 
     Observation survives the fan-out: the active observer never crosses
     the process boundary; instead each worker call rebuilds a fresh shard
@@ -435,18 +408,6 @@ def _run_parallel(
     """
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    from repro.kernel import shm as _shm
-
-    use_shm = config.shared_batch_memory and _shm.shared_memory_available()
-    if config.shared_batch_memory and not use_shm:
-        reason = (
-            "disabled by REPRO_NO_SHM"
-            if os.environ.get("REPRO_NO_SHM")
-            else "multiprocessing.shared_memory unavailable on this platform"
-        )
-        warnings.warn(BatchPickleFallback(reason), stacklevel=4)
-        if observer is not None:
-            observer.count("batch.pickle_fallback", reason=reason)
     spec = observer.spec() if observer is not None else None
     # config.observer cannot (and need not) cross the pool: the spec does.
     worker_config = (
@@ -454,102 +415,66 @@ def _run_parallel(
     )
     # Slots keep submission order; each is a BatchItemResult once known.
     slots: List[Optional[BatchItemResult]] = []
-    pending = {}  # future -> (slot index, key, segment name or None)
-    # Segment refcounts: how many in-flight items map each segment.  A
-    # sweep corpus (many keys over one graph) exports once and ships the
-    # same handle per item, so release must wait for the *last* consumer;
-    # the finally sweep covers whatever an interrupted batch leaves.
-    live_segments: Dict[str, int] = {}
-    # One export per distinct frozen snapshot for the whole batch
-    # (keyed by snapshot identity; the snapshot is held to pin the id).
-    export_cache: Dict[int, Tuple] = {}
-    try:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for key, thunk in items:
-                prior = done.get(key)
-                if prior is not None:
-                    slots.append(prior)
-                    continue
-                loaded = _load_item(
+    pending = {}  # future -> (slot index, key)
+    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        for key, thunk in items:
+            prior = done.get(key)
+            if prior is not None:
+                slots.append(prior)
+                continue
+            loaded = _load_item(
+                key, thunk, config.retries, config.backoff, config.backoff_factor
+            )
+            if isinstance(loaded, BatchItemResult):  # thunk never produced a CFG
+                slots.append(loaded)
+                _record(loaded, checkpoint, on_item)
+                continue
+            payload, load_tries, load_elapsed = loaded
+            index = len(slots)
+            slots.append(None)
+            try:
+                future = pool.submit(
+                    _worker_run_item,
                     key,
-                    thunk,
-                    config.retries,
-                    config.backoff,
-                    config.backoff_factor,
-                    use_shm=use_shm,
-                    export_cache=export_cache,
+                    payload,
+                    worker_config,
+                    load_tries,
+                    load_elapsed,
+                    spec,
                 )
-                if isinstance(loaded, BatchItemResult):  # thunk never produced a CFG
-                    slots.append(loaded)
-                    _record(loaded, checkpoint, on_item)
-                    continue
-                payload, load_tries, load_elapsed = loaded
-                seg_name = payload[1][0] if payload[0] == "shm" else None
-                if seg_name is not None:
-                    live_segments[seg_name] = live_segments.get(seg_name, 0) + 1
-                if observer is not None:
-                    observer.count("batch.submit", transport=payload[0])
-                index = len(slots)
-                slots.append(None)
-                try:
-                    future = pool.submit(
-                        _worker_run_item,
-                        key,
-                        payload,
-                        worker_config,
-                        load_tries,
-                        load_elapsed,
-                        spec,
-                    )
-                except Exception as error:
-                    # A worker died hard enough to break the pool (SIGKILL,
-                    # OOM): items not yet submitted still get honest error
-                    # results instead of the whole batch raising.  Only this
-                    # item's hold is dropped -- earlier in-flight items may
-                    # map the same segment; the finally sweep unlinks it.
-                    if seg_name is not None:
-                        live_segments[seg_name] -= 1
+            except Exception as error:
+                # A worker died hard enough to break the pool (SIGKILL,
+                # OOM): items not yet submitted still get honest error
+                # results instead of the whole batch raising.
+                result = BatchItemResult(
+                    key=key,
+                    status="error",
+                    error=f"worker pool broken: {type(error).__name__}: {error}",
+                )
+                slots[index] = result
+                _record(result, checkpoint, on_item)
+                continue
+            pending[future] = (index, key)
+        while pending:
+            finished, _ = wait(list(pending), return_when=FIRST_COMPLETED)
+            for future in finished:
+                index, item_key = pending.pop(future)
+                error = future.exception()
+                if error is not None:
+                    # The worker process itself died (OOM, segfault, ...).
                     result = BatchItemResult(
-                        key=key,
+                        key=item_key,
                         status="error",
-                        error=f"worker pool broken: {type(error).__name__}: {error}",
+                        error=f"worker crashed: {type(error).__name__}: {error}",
                     )
-                    slots[index] = result
-                    _record(result, checkpoint, on_item)
-                    continue
-                pending[future] = (index, key, seg_name)
-            while pending:
-                finished, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-                for future in finished:
-                    index, item_key, seg_name = pending.pop(future)
-                    if seg_name is not None:
-                        # The item is done (or its worker died): the parent
-                        # drops its hold either way -- the future resolving
-                        # is the lifecycle signal, not worker goodwill.  The
-                        # last consumer's resolution unlinks the segment.
-                        live_segments[seg_name] -= 1
-                        if live_segments[seg_name] <= 0:
-                            del live_segments[seg_name]
-                            _shm.release_segment(seg_name)
-                    error = future.exception()
-                    if error is not None:
-                        # The worker process itself died (OOM, segfault, ...).
-                        result = BatchItemResult(
-                            key=item_key,
-                            status="error",
-                            error=f"worker crashed: {type(error).__name__}: {error}",
-                        )
-                    else:
-                        data = future.result()
-                        shard = data.pop("observer", None)
-                        result = BatchItemResult(**data)
-                        if observer is not None and shard is not None:
-                            observer.absorb(shard, item=item_key)
-                    slots[index] = result
-                    _record(result, checkpoint, on_item)
-    finally:
-        for seg_name in list(live_segments):
-            _shm.release_segment(seg_name)
+                else:
+                    data = future.result()
+                    shard = data.pop("observer", None)
+                    result = BatchItemResult(**data)
+                    if observer is not None and shard is not None:
+                        observer.absorb(shard, item=item_key)
+                slots[index] = result
+                _record(result, checkpoint, on_item)
     report.results.extend(r for r in slots if r is not None)
 
 
@@ -559,27 +484,13 @@ def _load_item(
     retries: int,
     backoff: float,
     backoff_factor: float,
-    use_shm: bool = False,
-    export_cache: Optional[Dict[int, Tuple]] = None,
 ):
-    """Call ``thunk`` (with the batch retry policy) and package its CFG.
+    """Call ``thunk`` (with the batch retry policy) and encode its CFG.
 
     Returns either ``(payload, tries, elapsed)`` on success or a finished
     ``error`` :class:`BatchItemResult` when every try raised -- loading
     happens in the parent (thunks are arbitrary closures), so its retries
     are spent here rather than in the worker.
-
-    The payload is tagged: ``("shm", SegmentMeta)`` when ``use_shm`` and
-    the export succeeds (the snapshot's CSR arrays land once in a
-    parent-owned shared-memory segment; the worker attaches zero-copy), or
-    ``("cfg", snapshot_tuple)`` -- the portable pickled path.  A failed
-    export degrades that one item to pickling rather than failing it.
-
-    ``export_cache`` dedups exports within one batch: items resolving to
-    the same frozen snapshot (a sweep corpus re-analyzing one graph under
-    many keys) ship the same segment handle instead of copying the arrays
-    once per item.  Keyed by snapshot identity; the snapshot is held in
-    the cache to keep its id stable for the life of the batch.
     """
     started = time.monotonic()
     pause = backoff
@@ -590,30 +501,7 @@ def _load_item(
             pause *= backoff_factor
         try:
             cfg = thunk()
-            payload = None
-            if use_shm and isinstance(cfg, CFG):
-                from repro.kernel import shm as _shm
-                from repro.kernel.registry import shared_frozen
-
-                try:
-                    frozen = shared_frozen(cfg)
-                    cached = (
-                        export_cache.get(id(frozen))
-                        if export_cache is not None
-                        else None
-                    )
-                    if cached is not None:
-                        payload = ("shm", cached[0])
-                    else:
-                        meta = _shm.export_frozen(frozen)
-                        if export_cache is not None:
-                            export_cache[id(frozen)] = (meta, frozen)
-                        payload = ("shm", meta)
-                except Exception:
-                    payload = None  # e.g. /dev/shm full: pickle this item
-            if payload is None:
-                payload = ("cfg", _encode_cfg(cfg))
-            return payload, attempt + 1, time.monotonic() - started
+            return _encode_cfg(cfg), attempt + 1, time.monotonic() - started
         except Exception as error:
             last_error = f"{type(error).__name__}: {error}"
     return BatchItemResult(
@@ -657,39 +545,22 @@ def _worker_run_item(
     load_elapsed: float,
     observer_spec: Optional[Dict[str, bool]] = None,
 ) -> Dict[str, Any]:
-    """Process-pool entry point: materialize, run the ladder, return data.
+    """Process-pool entry point: decode, run the ladder, return plain data.
 
     Must stay module-level (pickled by reference).  The config is picklable
     here by construction -- _run_parallel strips the observer (the spec
     travels instead) and run_batch forces the serial path for fault plans
-    and custom engines.  ``payload`` is the tagged tuple from
-    :func:`_load_item`: ``("cfg", ...)`` rebuilds the object graph from the
-    pickled snapshot; ``("shm", meta)`` attaches the parent's shared CSR
-    segment zero-copy through the worker's attachment cache
-    (:func:`repro.kernel.shm.attach_frozen_cached`) -- repeat items on the
-    same segment reuse one mapping, one CFG shell, and every structural
-    cache on the adopted snapshot.  The cache owns closing (on eviction or
-    worker exit); the *parent* owns the unlink.
-    Returns the fields of a :class:`BatchItemResult` as a dict -- plus,
-    when a spec was supplied, the ``"observer"`` shard snapshot recorded
-    around this one item -- so the parent never unpickles custom classes
-    from a possibly-wedged worker.
+    and custom engines.  Returns the fields of a :class:`BatchItemResult`
+    as a dict -- plus, when a spec was supplied, the ``"observer"`` shard
+    snapshot recorded around this one item -- so the parent never unpickles
+    custom classes from a possibly-wedged worker.
     """
     started = time.monotonic()
     shard = Observer.from_spec(observer_spec) if observer_spec is not None else None
-    kind, body = payload
-
-    def _materialize() -> CFG:
-        if kind == "shm":
-            from repro.kernel import shm as _shm
-
-            return _shm.attach_frozen_cached(body)
-        return _decode_cfg(body)
-
     with _obs.observe(shard):
         result = _run_item(
             key,
-            _materialize,
+            lambda: _decode_cfg(payload),
             config=config,
             sleep=time.sleep,
             clock=time.monotonic,

@@ -48,7 +48,6 @@ from repro.core.cycle_equiv_slow import cycle_equivalence_bracket_sets
 from repro.core.pst import ProgramStructureTree, build_pst
 from repro.dominance.iterative import immediate_dominators
 from repro.dominance.tree import DominatorTree
-from repro.kernel import backend as _backend
 from repro.kernel.session import AnalysisSession
 from repro.config import (
     ALL_ANALYSES,
@@ -176,7 +175,7 @@ def run_analysis(
     if analyses is None:
         analyses = config.analyses if config.analyses is not None else ALL_ANALYSES
     try:
-        with _obs.observe(config.observer), _backend.use_backend(config.backend):
+        with _obs.observe(config.observer):
             if config.faults is not None:
                 with faults_mod.inject(config.faults):
                     return _run_analysis(cfg, analyses, config, clock)

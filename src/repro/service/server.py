@@ -239,12 +239,6 @@ class AnalysisServer:
         self.requests = 0
         self._requests_lock = threading.Lock()
         self.drain.add_flush_hook(self._flush_trace)
-        # A draining server must leave no /dev/shm entries behind: any
-        # batch segments still parent-owned at shutdown are unlinked here
-        # (atexit remains the last resort for non-service processes).
-        from repro.kernel.shm import cleanup_all as _shm_cleanup
-
-        self.drain.add_flush_hook(_shm_cleanup)
 
     # ------------------------------------------------------------------
     # lifecycle

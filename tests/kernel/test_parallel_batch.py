@@ -9,7 +9,11 @@ the host actually has cores to parallelize over.
 from __future__ import annotations
 
 import io
+import multiprocessing
 import os
+import signal
+import threading
+import time
 import warnings
 
 import pytest
@@ -27,6 +31,7 @@ from repro.resilience.batch import (
     load_checkpoint,
     run_batch,
 )
+from repro.synth.unstructured import random_cfg
 from tests.resilience.conftest import RecordingSleep
 
 
@@ -195,6 +200,35 @@ def test_parallel_histograms_merge_counts_across_shards():
     # All three items (the two good CFGs and the invalid one) reach
     # run_analysis, each timed inside its worker's shard.
     assert histograms["engine.run_seconds"]["count"] == len(merge_corpus())
+
+
+def test_worker_killed_mid_item_still_reports_every_item():
+    """SIGKILLing a pool worker breaks its future (and possibly the pool);
+    the batch must not raise, and every item must still get a result --
+    crashed ones as errors, the rest as usual."""
+
+    def killer():
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            workers = multiprocessing.active_children()
+            if workers:
+                os.kill(workers[0].pid, signal.SIGKILL)
+                return
+            time.sleep(0.01)
+
+    thread = threading.Thread(target=killer, daemon=True)
+    thread.start()
+    # Large-ish graphs so at least one item is still in flight when the
+    # SIGKILL lands.
+    items = [
+        (f"item{i}", (lambda s=i: random_cfg(seed=s, num_nodes=400, extra_edges=200)))
+        for i in range(6)
+    ]
+    report = run_batch(items, config=AnalysisConfig(workers=2, retries=0))
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert [r.key for r in report.results] == [key for key, _ in items]
+    assert all(r.status in ("ok", "degraded", "error") for r in report.results)
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 4, reason="needs real cores")

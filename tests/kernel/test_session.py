@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 from repro.cfg.builder import cfg_from_edges
 from repro.cfg.graph import CFG
 from repro.core.pst import build_pst_reference
@@ -75,6 +78,17 @@ def test_session_for_is_per_cfg_identity():
     assert session_for(cfg) is session
     assert session_for(other) is not session
     assert session.cfg is cfg
+
+
+def test_session_for_dies_with_its_graph():
+    """The shared session must not keep its graph alive: a registry keyed
+    weakly by the graph, whose values hold the graph, never lets go."""
+    cfg = diamond()
+    session_for(cfg).pst()
+    ref = weakref.ref(cfg)
+    del cfg
+    gc.collect()
+    assert ref() is None
 
 
 def test_cached_artifacts_match_references():
