@@ -15,13 +15,16 @@ missing or unset root raises :class:`~repro.cfg.graph.InvalidCFGError`
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.cfg.graph import CFG, NodeId
 from repro.cfg.traversal import reverse_postorder
 from repro.cfg.validate import require_root
 from repro.obs import observer as _obs
 from repro.resilience.guards import Ticker
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.kernel.dominance import EdgeDominance
 
 
 def immediate_dominators(
@@ -53,6 +56,32 @@ def _immediate_dominators_kernel(
 
     frozen = shared_frozen(cfg)
     return kernel_immediate_dominators(frozen, frozen.index_of[root], ticker)
+
+
+def edge_dominance(cfg: CFG, ticker: Optional[Ticker] = None) -> "EdgeDominance":
+    """Edge dominance and postdominance queries for ``cfg``.
+
+    Runs the iterative kernel twice over the shared snapshot -- forward from
+    ``start``, then over the reversed rows from ``end`` -- each as one
+    ``immediate_dominators`` dispatch, and answers Definition 2's edge
+    questions from those two node trees
+    (:class:`~repro.kernel.dominance.EdgeDominance`), with no edge-split
+    copy of the graph.  ``cfg`` must satisfy Definition 1.  ``ticker`` is
+    charged as :func:`immediate_dominators` charges it, once per run.
+    """
+    from repro.kernel.dominance import EdgeDominance, kernel_iterative_dominators
+    from repro.kernel.registry import shared_frozen
+
+    frozen = shared_frozen(cfg)
+    idom = _obs.dispatch(
+        "immediate_dominators", "kernel", cfg,
+        kernel_iterative_dominators, frozen, frozen.start, ticker,
+    )
+    ipdom = _obs.dispatch(
+        "immediate_dominators", "kernel", cfg,
+        kernel_iterative_dominators, frozen, frozen.end, ticker, True,
+    )
+    return EdgeDominance(frozen, idom, ipdom)
 
 
 def immediate_dominators_reference(

@@ -13,7 +13,9 @@ cycle equivalence     Figure 4 vs §3.3 bracket sets vs brute-force
                       cycle enumeration (tiny graphs only)
 SESE / PST            canonical regions from the fast partition vs the
                       slow partition; definitional SESE check (edge
-                      dominance/postdominance) per region; PST stack
+                      dominance/postdominance) per region, and edge
+                      (post)dominance from G's own trees vs the
+                      edge-split graph for every edge pair; PST stack
                       discipline (asserted during construction)
 dominators            iterative (Cooper et al.) vs Lengauer-Tarjan vs
                       PST divide-and-conquer; same on the reverse CFG
@@ -66,6 +68,7 @@ from repro.dataflow.problems import (
 )
 from repro.dataflow.qpg import solve_qpg
 from repro.dominance.iterative import (
+    edge_dominance,
     immediate_dominators,
     immediate_dominators_reference,
 )
@@ -198,17 +201,26 @@ def _check_sese_definition(case: FuzzCase) -> Optional[str]:
     """Every canonical region satisfies Definition 2 literally.
 
     Edge dominance/postdominance is checked on the edge-split graph:
-    ``a`` dominates ``b`` iff split(a) dominates split(b).
+    ``a`` dominates ``b`` iff split(a) dominates split(b).  The engine's
+    postcondition answers the same questions from G's own trees
+    (:func:`edge_dominance`); the two must agree on every ordered pair of
+    distinct edges.
     """
     cfg = case.cfg
-    regions = canonical_sese_regions(cfg)
-    if not regions:
-        return None
     split, split_node = cfg.edge_split()
     dom = DominatorTree(immediate_dominators(split, root=split.start), split.start)
     rsplit = split.reversed()
     pdom = DominatorTree(immediate_dominators(rsplit, root=rsplit.start), rsplit.start)
-    for region in regions:
+    lemma = edge_dominance(cfg)
+    for a in cfg.edges:
+        for b in cfg.edges:
+            if a is b:
+                continue
+            if lemma.dominates(a, b) != dom.dominates(split_node[a], split_node[b]):
+                return f"does {a!r} dominate {b!r}? G's trees and the split graph disagree"
+            if lemma.postdominates(b, a) != pdom.dominates(split_node[b], split_node[a]):
+                return f"does {b!r} postdominate {a!r}? G's trees and the split graph disagree"
+    for region in canonical_sese_regions(cfg):
         a, b = split_node[region.entry], split_node[region.exit]
         if not dom.dominates(a, b):
             return f"region {region.describe()}: entry does not dominate exit"

@@ -1,18 +1,24 @@
-"""Array-based Lengauer-Tarjan over CSR snapshots.
+"""Array-based dominator kernels over CSR snapshots.
 
-Same algorithm (and the same tick billing and fault site) as
-:mod:`repro.dominance.lengauer_tarjan`'s object-graph implementation, with
-node ids replaced by dense indices: the DFS walks the flat ``succ_dst``
-rows, the semidominator sweep walks ``pred_src``, and the EVAL/LINK forest
-is the usual set of int arrays.  Passing ``reverse=True`` swaps the roles
+:func:`kernel_lengauer_tarjan` is the same algorithm (and the same tick
+billing and fault site) as :mod:`repro.dominance.lengauer_tarjan`'s
+object-graph implementation, with node ids replaced by dense indices: the
+DFS walks the flat ``succ_dst`` rows, the semidominator sweep walks
+``pred_src``, and the EVAL/LINK forest is the usual set of int arrays.
+:func:`kernel_iterative_dominators` ports the Cooper-Harvey-Kennedy
+fixpoint the same way.  Passing ``reverse=True`` to either swaps the roles
 of the two CSR halves, which computes *post*\\ dominators without ever
 materializing a reversed copy of the graph.
+
+:class:`EdgeDominance` answers Definition 2's edge (post)dominance
+questions from the two node trees of the graph itself.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.cfg.graph import Edge
 from repro.kernel.csr import FrozenCFG
 from repro.resilience.guards import Ticker
 
@@ -160,27 +166,37 @@ def kernel_lengauer_tarjan(
     return idom
 
 
-def kernel_immediate_dominators(
+def kernel_iterative_dominators(
     frozen: FrozenCFG,
     root: int,
     ticker: Optional[Ticker] = None,
-) -> Dict[object, object]:
-    """Cooper-Harvey-Kennedy iterative idoms over the CSR snapshot.
+    reverse: bool = False,
+) -> List[int]:
+    """Cooper-Harvey-Kennedy iterative idoms by node index; ``-1`` marks
+    unreachable nodes.
 
     Array port of :func:`repro.dominance.iterative.immediate_dominators`
     (which is retained as the object-graph reference): a data-flow fixpoint
     over reverse postorder whose ``intersect`` walk *is* dominator-set
     intersection in compressed form -- walking two postorder numbers up the
     current idom forest meets the two (implicit) dominator sets without
-    ever materializing them.  Same convention (``idom[root] == root``, only
-    reachable nodes appear, keyed by node ids) and same billing (one step
-    per node per sweep, charged at the top of each sweep).
+    ever materializing them.  Same convention (``idom[root] == root``) and
+    same billing (one step per node per sweep, charged at the top of each
+    sweep).  With ``reverse=True`` the edge direction flips, as in
+    :func:`kernel_lengauer_tarjan`, yielding postdominators when called
+    with ``root=frozen.end``.
     """
     n = frozen.num_nodes
-    succ_off = frozen.succ_off
-    succ_dst = frozen.succ_dst
-    pred_off = frozen.pred_off
-    pred_src = frozen.pred_src
+    if reverse:
+        succ_off = frozen.pred_off
+        succ_dst = frozen.pred_src
+        pred_off = frozen.succ_off
+        pred_src = frozen.succ_dst
+    else:
+        succ_off = frozen.succ_off
+        succ_dst = frozen.succ_dst
+        pred_off = frozen.pred_off
+        pred_src = frozen.pred_src
     tick = None if ticker is None else ticker.tick
 
     # Reverse postorder, with the same mark-at-push DFS as the traversal
@@ -253,5 +269,128 @@ def kernel_immediate_dominators(
                 idom[nd] = new
                 changed = True
 
+    return idom
+
+
+def kernel_immediate_dominators(
+    frozen: FrozenCFG,
+    root: int,
+    ticker: Optional[Ticker] = None,
+) -> Dict[object, object]:
+    """:func:`kernel_iterative_dominators` keyed by node ids; only reachable
+    nodes appear."""
+    idom = kernel_iterative_dominators(frozen, root, ticker)
     node_ids = frozen.node_ids
-    return {node_ids[i]: node_ids[idom[i]] for i in range(n) if idom[i] >= 0}
+    return {node_ids[i]: node_ids[d] for i, d in enumerate(idom) if d >= 0}
+
+
+def _preorder_intervals(idom: List[int], root: int) -> Tuple[List[int], List[int]]:
+    """Number the tree an idom array describes into preorder intervals.
+
+    Returns ``(pre, last)``: ``u`` dominates ``w`` (every node dominates
+    itself) iff ``pre[u] <= pre[w] <= last[u]``.  Nodes off the tree
+    (``idom == -1``) get ``pre == last == -1``.
+    """
+    n = len(idom)
+    first_child = [-1] * n
+    next_sibling = [-1] * n
+    for w in range(n):
+        p = idom[w]
+        if p >= 0 and w != root:
+            next_sibling[w] = first_child[p]
+            first_child[p] = w
+    pre = [-1] * n
+    order: List[int] = []
+    stack = [root]
+    while stack:
+        w = stack.pop()
+        pre[w] = len(order)
+        order.append(w)
+        c = first_child[w]
+        while c >= 0:
+            stack.append(c)
+            c = next_sibling[c]
+    # Reverse preorder finishes every subtree before its root.
+    last = pre[:]
+    for w in reversed(order):
+        p = idom[w]
+        if last[w] > last[p]:
+            last[p] = last[w]
+    return pre, last
+
+
+class EdgeDominance:
+    """Edge dominance and postdominance, read off a CFG's own node trees.
+
+    Definition 2 asks whether one *edge* (post)dominates another.  Splitting
+    every edge by a fresh node (:meth:`repro.cfg.graph.CFG.edge_split`)
+    turns that into node dominance on a graph of ``V + E`` nodes; the same
+    answers follow from the dominator tree ``idom`` and the postdominator
+    tree ``ipdom`` of G itself.  For distinct edges ``a = (u -> v)`` and
+    ``b = (x -> y)``:
+
+    * ``a`` dominates ``b`` iff ``v`` dominates ``x`` and ``a`` is the only
+      in-edge of ``v`` whose source ``v`` does not dominate;
+    * ``b`` postdominates ``a`` iff ``x`` postdominates ``v`` and ``b`` is
+      the only out-edge of ``x`` whose target ``x`` does not postdominate.
+
+    Every path from ``start`` to ``x`` passes ``v``, and its first arrival
+    at ``v`` comes over an in-edge from a node ``v`` does not dominate.
+    Each such edge starts a path to ``v`` that avoids the others, and from
+    ``v`` a path to ``x`` need never re-enter ``v``; so ``a`` is unavoidable
+    exactly when it is the only one.  The second rule is the first on the
+    reversed graph.  Parallel edges are distinct edges with equal
+    endpoints, so neither of two parallel entries into ``v`` dominates.
+
+    Both trees are numbered into preorder intervals, so a query costs the
+    degree of one boundary node.  The graph must satisfy Definition 1
+    (every node on a path from ``start`` to ``end``).
+    """
+
+    __slots__ = ("_frozen", "_dom", "_pdom")
+
+    def __init__(self, frozen: FrozenCFG, idom: List[int], ipdom: List[int]):
+        self._frozen = frozen
+        self._dom = _preorder_intervals(idom, frozen.start)
+        self._pdom = _preorder_intervals(ipdom, frozen.end)
+
+    def dominates(self, a: Edge, b: Edge) -> bool:
+        """True iff edge ``a`` dominates the distinct edge ``b``."""
+        frozen = self._frozen
+        index_of = frozen.index_of
+        return _sole_unavoidable(
+            self._dom, frozen.pred_off, frozen.pred_src,
+            index_of[a.target], index_of[a.source], index_of[b.source],
+        )
+
+    def postdominates(self, b: Edge, a: Edge) -> bool:
+        """True iff edge ``b`` postdominates the distinct edge ``a``."""
+        frozen = self._frozen
+        index_of = frozen.index_of
+        return _sole_unavoidable(
+            self._pdom, frozen.succ_off, frozen.succ_dst,
+            index_of[b.source], index_of[b.target], index_of[a.target],
+        )
+
+
+def _sole_unavoidable(
+    intervals: Tuple[List[int], List[int]],
+    off: List[int],
+    nbr: List[int],
+    v: int,
+    u: int,
+    x: int,
+) -> bool:
+    """The lemma on one tree: ``v`` dominates ``x``, and of ``v``'s incoming
+    neighbours (rows ``off``/``nbr``, counted with multiplicity) ``u`` is
+    the only one ``v`` does not dominate."""
+    pre, last = intervals
+    lo = pre[v]
+    hi = last[v]
+    if not lo <= pre[x] <= hi or lo <= pre[u] <= hi:
+        return False
+    outside = 0
+    for i in range(off[v], off[v + 1]):
+        if not lo <= pre[nbr[i]] <= hi:
+            outside += 1
+    return outside == 1

@@ -18,10 +18,16 @@ every fault site in :mod:`repro.resilience.faults`):
 
 * **pst** -- node ownership is a partition of the CFG's nodes; every
   canonical region's entry edge dominates its exit edge and the exit edge
-  postdominates the entry edge (the Definition-of-SESE dominance conditions,
-  checked on the edge-split graph with iterative dominators); and, for
-  graphs within ``full_check_limit`` edges, the full cycle-equivalence
-  partition is cross-checked against the §3.3 bracket-set reference.
+  postdominates the entry edge (the Definition-of-SESE dominance
+  conditions); and, for graphs within ``full_check_limit`` edges, the full
+  cycle-equivalence partition is cross-checked against the §3.3
+  bracket-set reference.  Edge dominance needs no edge-split copy: for
+  distinct edges ``a = (u -> v)`` and ``b = (x -> y)``, ``a`` dominates
+  ``b`` iff ``v`` dominates ``x`` and ``a`` is the only in-edge of ``v``
+  from a node ``v`` does not dominate; ``b`` postdominates ``a`` iff ``x``
+  postdominates ``v`` and ``b`` is the only out-edge of ``x`` to a node
+  ``x`` does not postdominate.  So the check runs iterative dominators
+  twice, forward and reversed, on G's own CSR snapshot.
 * **dominators** -- the Lengauer-Tarjan tree is cross-checked against the
   independently derived iterative fixpoint (cheap: a couple of O(E) sweeps).
 * **control-regions** -- the groups partition the node set, ``start`` and
@@ -46,8 +52,7 @@ from repro.controldep.regions_cfs import control_regions_cfs
 from repro.core.cycle_equiv import CycleEquivalence
 from repro.core.cycle_equiv_slow import cycle_equivalence_bracket_sets
 from repro.core.pst import ProgramStructureTree, build_pst
-from repro.dominance.iterative import immediate_dominators
-from repro.dominance.tree import DominatorTree
+from repro.dominance.iterative import edge_dominance, immediate_dominators
 from repro.kernel.session import AnalysisSession
 from repro.config import (
     ALL_ANALYSES,
@@ -504,31 +509,21 @@ def _check_sese_dominance(
 ) -> None:
     """Definition-of-SESE dominance conditions for every canonical region.
 
-    Checked on the edge-split graph with *iterative* dominators, which share
-    no code with the fast path (and carry no fault sites).
+    Decided from G's own dominator and postdominator trees
+    (:func:`~repro.dominance.iterative.edge_dominance`): the *iterative*
+    kernel shares no code with the fast path and carries no fault sites.
+    Each region costs the degree of its two boundary nodes.
     """
     regions = pst.canonical_regions()
     if not regions:
         return
-    split, split_node = cfg.edge_split()
-    dom = DominatorTree(
-        immediate_dominators(split, ticker=ticker), split.start
-    )
-    rsplit = split.reversed()
-    pdom = DominatorTree(
-        immediate_dominators(rsplit, ticker=ticker), rsplit.start
-    )
+    edge_dom = edge_dominance(cfg, ticker=ticker)
     for region in regions:
-        a, b = split_node[region.entry], split_node[region.exit]
-        if a not in dom or b not in dom:
-            raise PostconditionError(
-                f"PST: region {region.describe()} has an unreachable boundary edge"
-            )
-        if not dom.dominates(a, b):
+        if not edge_dom.dominates(region.entry, region.exit):
             raise PostconditionError(
                 f"PST: region {region.describe()}: entry does not dominate exit"
             )
-        if not pdom.dominates(b, a):
+        if not edge_dom.postdominates(region.exit, region.entry):
             raise PostconditionError(
                 f"PST: region {region.describe()}: exit does not postdominate entry"
             )

@@ -235,7 +235,7 @@ class ShardedSessionCache:
     map itself is an LRU over client ids, so an abandoned client's whole
     shard is reclaimed when a new client arrives past the cap.  Values are
     whatever the service stores per CFG (an entry holding the CFG, its
-    :class:`~repro.kernel.session.AnalysisSession`, and cached responses);
+    live edit session, and cached responses);
     this class only does the byte accounting and fairness.
     """
 

@@ -16,9 +16,8 @@ every request passes, in order, through
    ladder's middle rung, visible as ``"mode": "degraded"`` in responses;
 4. the per-client session cache -- a
    :class:`~repro.service.cache.ShardedSessionCache` keyed by a stable
-   graph key, holding the CFG, its
-   :class:`~repro.kernel.session.AnalysisSession`, and cached responses,
-   byte-bounded by ``ServiceConfig.max_cache_bytes``.
+   graph key, holding the CFG, its live edit session, and cached
+   responses, byte-bounded by ``ServiceConfig.max_cache_bytes``.
 
 Endpoints:
 
@@ -49,11 +48,11 @@ Endpoints:
 
 Observability: the server installs one *metrics-only* ambient observer for
 its lifetime (``TraceRecorder`` is single-threaded by design, so tracing
-cannot be ambient under a thread pool); each request instead records its
-own span into a private recorder that is absorbed into a shared collector
-under a lock.  At drain the collector -- now one schema-valid trace of
-every request span plus a mergeable metrics dump -- is flushed to
-``ServiceConfig.trace_path``.
+cannot be ambient under a thread pool); when ``ServiceConfig.trace_path``
+is set, each request instead records its own span into a private recorder
+that is absorbed into a shared collector under a lock.  At drain the
+collector -- now one schema-valid trace of every request span plus a
+mergeable metrics dump -- is flushed to that path.
 """
 
 from __future__ import annotations
@@ -63,6 +62,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cfg.graph import InvalidCFGError
@@ -153,8 +153,6 @@ def _cfg_from_request(body: Dict[str, Any]) -> Tuple[str, Any]:
 
         try:
             lowered = lower_procedure(parse_procedure(source))
-        except InvalidCFGError:
-            raise
         except Exception as error:
             raise _BadRequest(f"MiniLang parse/lower failed: {error}") from None
         digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
@@ -175,7 +173,10 @@ def _cfg_from_request(body: Dict[str, Any]) -> Tuple[str, Any]:
     end = spec.get("end", "end")
     from repro.cfg.builder import cfg_from_edges
 
-    cfg = cfg_from_edges(edges, start=start, end=end, validate=True)
+    try:
+        cfg = cfg_from_edges(edges, start=start, end=end, validate=True)
+    except InvalidCFGError as error:
+        raise _BadRequest(f"'cfg' is not a valid CFG: {error}") from None
     canonical = json.dumps([list(e) for e in edges] + [start, end], sort_keys=True)
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
     return f"cfg:{digest}", cfg
@@ -198,19 +199,18 @@ def _analyses_from_request(body: Dict[str, Any]) -> Tuple[str, ...]:
 
 
 class _ClientEntry:
-    """One cached graph of one client: CFG + session + prior responses.
+    """One cached graph of one client: CFG + prior responses.
 
     ``edit`` is the client's live :class:`~repro.incremental.EditSession`
     for this graph, created lazily by the first ``/apply_delta``; ``lock``
-    serializes edits against each other (each request thread edits the
-    shared graph in place).
+    serializes edits and engine runs against each other (each request
+    thread edits the shared graph in place), and guards ``responses``.
     """
 
-    __slots__ = ("cfg", "session", "responses", "edit", "lock")
+    __slots__ = ("cfg", "responses", "edit", "lock")
 
-    def __init__(self, cfg, session):
+    def __init__(self, cfg):
         self.cfg = cfg
-        self.session = session
         self.responses: Dict[Tuple[str, ...], Dict[str, Any]] = {}
         self.edit = None
         self.lock = threading.Lock()
@@ -441,14 +441,7 @@ class AnalysisServer:
         entry = shard.get(graph_key)
         cached = False
         if entry is None:
-            from repro.kernel.session import AnalysisSession
-
-            entry = _ClientEntry(
-                cfg,
-                AnalysisSession(
-                    cfg, max_cache_bytes=self.sessions.per_client_bytes
-                ),
-            )
+            entry = _ClientEntry(cfg)
             shard.put(graph_key, entry, cfg_cost_bytes(cfg))
         response = entry.responses.get(analyses)
         if response is not None:
@@ -476,30 +469,32 @@ class AnalysisServer:
             # entry.cfg, not the request's spelling: /apply_delta may have
             # edited the client's live graph since it was first cached.
             # The entry lock keeps the engine from racing a concurrent edit.
+            # The memo is stored before the lock is released: an edit that
+            # landed in between would clear the memos before this answer,
+            # now stale, was stored and then served as cached.
             with entry.lock:
                 result = run_analysis(entry.cfg, config=engine_config)
-                graph = {
-                    "nodes": entry.cfg.num_nodes,
-                    "edges": entry.cfg.num_edges,
+                result_body = {
+                    "ok": result.ok,
+                    "error": result.error,
+                    "degraded_ladder": result.degraded,
+                    "graph": {
+                        "nodes": entry.cfg.num_nodes,
+                        "edges": entry.cfg.num_edges,
+                    },
+                    "analyses": _summarize(result, analyses),
+                    "attempts": [
+                        {
+                            "stage": a.stage,
+                            "path": a.path,
+                            "outcome": a.outcome,
+                            "elapsed": a.elapsed,
+                        }
+                        for a in result.diagnostic.attempts
+                    ],
                 }
-            result_body = {
-                "ok": result.ok,
-                "error": result.error,
-                "degraded_ladder": result.degraded,
-                "graph": graph,
-                "analyses": _summarize(result, analyses),
-                "attempts": [
-                    {
-                        "stage": a.stage,
-                        "path": a.path,
-                        "outcome": a.outcome,
-                        "elapsed": a.elapsed,
-                    }
-                    for a in result.diagnostic.attempts
-                ],
-            }
-            if result.ok:
-                entry.responses[analyses] = dict(result_body)
+                if result.ok:
+                    entry.responses[analyses] = dict(result_body)
         elapsed = time.perf_counter() - started
         result_body.update(
             {
@@ -579,14 +574,7 @@ class AnalysisServer:
             graph_key, cfg = _cfg_from_request(body)
             entry = shard.get(graph_key)
             if entry is None:
-                from repro.kernel.session import AnalysisSession
-
-                entry = _ClientEntry(
-                    cfg,
-                    AnalysisSession(
-                        cfg, max_cache_bytes=self.sessions.per_client_bytes
-                    ),
-                )
+                entry = _ClientEntry(cfg)
                 shard.put(graph_key, entry, cfg_cost_bytes(cfg))
 
         with self._requests_lock:
@@ -680,7 +668,8 @@ class AnalysisServer:
 
     # ------------------------------------------------------------------
     def _record_request(self, **attrs) -> None:
-        """One span per request, absorbed into the shared collector."""
+        """The request's latency histogram, plus one span absorbed into the
+        shared collector when there is a trace to flush it to."""
         elapsed = attrs.pop("elapsed")
         self.observer.observe_value(
             "service.request.seconds",
@@ -688,6 +677,8 @@ class AnalysisServer:
             mode=attrs["mode"],
             cached=str(attrs["cached"]).lower(),
         )
+        if self.config.trace_path is None:
+            return  # only the drain flush reads the collector
         recorder = TraceRecorder()
         span = recorder.start("service.request", **attrs)
         span.finish()
@@ -779,22 +770,35 @@ def _read_json(handler, max_body_bytes: int) -> Dict[str, Any]:
         raise _BadRequest(f"body is not valid JSON: {error}") from None
 
 
-def _send(handler, status: int, body: bytes, content_type: str) -> None:
-    handler.send_response(status)
-    handler.send_header("Content-Type", content_type)
-    handler.send_header("Content-Length", str(len(body)))
-    handler.end_headers()
-    handler.wfile.write(body)
+def _send(
+    handler,
+    status: int,
+    body: bytes,
+    content_type: str,
+    retry_after: Optional[int] = None,
+) -> None:
+    """Write one response -- status line, headers and body -- in one write.
+
+    ``end_headers()`` would flush the headers in a write of their own, and
+    Nagle's algorithm then holds the body back until the client's delayed
+    ACK, about 40 ms later.
+    """
+    lines = [
+        f"{handler.protocol_version} {status} {HTTPStatus(status).phrase}",
+        f"Server: {handler.version_string()}",
+        f"Date: {handler.date_time_string()}",
+        f"Content-Type: {content_type}",
+        f"Content-Length: {len(body)}",
+    ]
+    if retry_after is not None:
+        lines.append(f"Retry-After: {retry_after}")
+    head = "\r\n".join(lines) + "\r\n\r\n"
+    handler.wfile.write(head.encode("latin-1") + body)
 
 
 def _send_json(handler, status: int, body: Dict[str, Any]) -> None:
     payload = json.dumps(body, sort_keys=True).encode("utf-8")
+    retry_after = None
     if status in (429, 503) and "retry_after" in body:
-        handler.send_response(status)
-        handler.send_header("Content-Type", "application/json")
-        handler.send_header("Retry-After", str(max(1, round(body["retry_after"]))))
-        handler.send_header("Content-Length", str(len(payload)))
-        handler.end_headers()
-        handler.wfile.write(payload)
-        return
-    _send(handler, status, payload, "application/json")
+        retry_after = max(1, round(body["retry_after"]))
+    _send(handler, status, payload, "application/json", retry_after)

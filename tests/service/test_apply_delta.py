@@ -200,3 +200,59 @@ def test_concurrent_edits_and_analyses_stay_coherent(server):
     )
     assert status == 200
     assert final["graph"]["edges"] == first["graph"]["edges"] + 10
+
+
+def test_an_invalid_cfg_spelling_is_a_400(server):
+    status, body = post(
+        server,
+        "/apply_delta",
+        {
+            "client": "me",
+            "cfg": {"edges": [["start", "a"], ["b", "end"]]},
+            "deltas": [{"op": "add_edge", "source": "a", "target": "end"}],
+        },
+    )
+    assert status == 400
+    assert body["error"] == "bad_request"
+    assert "not a valid CFG" in body["message"]
+
+
+def test_an_edit_after_the_engine_run_leaves_no_stale_memo(server, monkeypatch):
+    import repro.service.server as server_mod
+
+    spelling = {
+        "client": "me",
+        "cfg": {"edges": [["start", "a"], ["a", "b"], ["a", "end"], ["b", "end"]]},
+    }
+    status, seeded = post(server, "/run_analysis", dict(spelling, analyses=["pst"]))
+    assert status == 200 and seeded["graph"] == {"nodes": 4, "edges": 4}
+    entry = server.sessions.shard("me").get(seeded["key"])
+    edit = {
+        "client": "me",
+        "key": seeded["key"],
+        "deltas": [{"op": "add_node", "node": "c", "preds": ["a"], "succs": ["b"]}],
+    }
+    editors = []
+    real_summarize = server_mod._summarize
+
+    def summarize_then_edit(result, analyses):
+        # Runs after the engine, before the request answers: the window in
+        # which an edit must not slip between the engine and its memo.
+        if not editors:
+            editor = threading.Thread(target=server.handle_apply_delta, args=(edit,))
+            editors.append(editor)
+            editor.start()
+            if not entry.lock.locked():
+                editor.join(timeout=30)  # nothing holds the edit back
+        return real_summarize(result, analyses)
+
+    monkeypatch.setattr(server_mod, "_summarize", summarize_then_edit)
+    status, first = post(server, "/run_analysis", spelling)
+    assert status == 200 and first["cached"] is False
+    editors[0].join(timeout=30)
+    assert not editors[0].is_alive()
+
+    status, second = post(server, "/run_analysis", spelling)
+    assert status == 200
+    assert second["graph"] == {"nodes": 5, "edges": 6}
+    assert second["cached"] is False

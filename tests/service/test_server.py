@@ -281,3 +281,97 @@ def test_drain_flushes_a_schema_valid_trace(tmp_path):
     spans = [r for r in records if r["type"] == "span"]
     assert sum(1 for s in spans if s["name"] == "service.request") == 3
     assert any(r["type"] == "metrics_dump" for r in records)
+
+
+# ----------------------------------------------------------------------
+# invalid client graphs
+# ----------------------------------------------------------------------
+
+#: Breaks Definition 1: ``a`` cannot reach ``end`` and ``b`` is unreachable.
+INVALID_CFG = {"edges": [["start", "a"], ["b", "end"]]}
+
+
+def test_an_invalid_cfg_spelling_is_a_400_on_run_analysis(server):
+    status, body, _ = post(server, "/run_analysis", {"cfg": INVALID_CFG})
+    assert status == 400
+    assert body["error"] == "bad_request"
+    assert "not a valid CFG" in body["message"]
+    source = "proc f(n) { break; return n; }"  # lowers to an invalid CFG
+    status, body, _ = post(server, "/run_analysis", {"source": source})
+    assert status == 400 and body["error"] == "bad_request"
+    assert server.observer.metrics.counts_matching("service.error") == {}
+
+
+def test_an_invalid_cfg_item_fails_only_its_own_batch_slot(server):
+    items = [{"synth": {"seed": 2, "size": 8}}, {"cfg": INVALID_CFG}]
+    status, body, _ = post(server, "/run_batch", {"items": items})
+    assert status == 200
+    assert [item["status"] for item in body["items"]] == [200, 400]
+    assert body["items"][1]["body"]["error"] == "bad_request"
+
+
+# ----------------------------------------------------------------------
+# transport and span collection
+# ----------------------------------------------------------------------
+
+class _RecordingConnection:
+    """A socket stand-in that serves one request and records each send."""
+
+    def __init__(self, request: bytes):
+        self.request = request
+        self.sends = []
+
+    def makefile(self, mode, buffering=None):
+        return io.BytesIO(self.request)
+
+    def sendall(self, data):
+        self.sends.append(bytes(data))
+
+
+def serve_one(server, request: bytes):
+    httpd = server.start()  # already started: returns the bound server
+    connection = _RecordingConnection(request)
+    httpd.RequestHandlerClass(connection, ("127.0.0.1", 0), httpd)
+    return connection.sends
+
+
+def test_each_response_reaches_the_socket_in_one_write(server):
+    # Headers and body in separate writes let Nagle's algorithm hold the
+    # body until the client's delayed ACK.
+    sends = serve_one(server, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+    assert len(sends) == 1
+    assert sends[0].startswith(b"HTTP/1.1 200 OK\r\n")
+    assert sends[0].endswith(b"\r\n\r\nok\n")
+
+    payload = json.dumps({"synth": {"seed": 4, "size": 8}}).encode()
+    request = (
+        b"POST /run_analysis HTTP/1.1\r\nHost: t\r\n"
+        b"Content-Length: " + str(len(payload)).encode() + b"\r\n\r\n" + payload
+    )
+    sends = serve_one(server, request)
+    assert len(sends) == 1
+    head, _, body = sends[0].partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+    assert b"Content-Type: application/json" in head
+    assert f"Content-Length: {len(body)}".encode() in head
+    assert json.loads(body)["ok"] is True
+
+
+def test_a_server_without_a_trace_path_keeps_no_request_spans():
+    srv = AnalysisServer(ServiceConfig(port=0, rate=10_000.0, burst=1_000))
+    httpd = srv.start()
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        for seed in range(6):
+            status, _, _ = post(srv, "/run_analysis", {"synth": {"seed": seed, "size": 8}})
+            assert status == 200
+        assert srv._collector.records == []
+        latency = srv.observer.metrics.histogram(
+            "service.request.seconds", mode="full", cached="false"
+        )
+        assert latency.count == 6
+    finally:
+        srv.shutdown()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
