@@ -34,10 +34,10 @@ This module is the canonical import surface: graph construction
 (:func:`run_analysis`, :func:`run_batch`, :class:`AnalysisConfig`), cached
 sessions (:class:`AnalysisSession`, :func:`session_for`), the edit surface
 (:class:`EditSession`, :func:`apply_delta`), and observability
-(:class:`Observer`).  Deep imports keep working, but the promoted names
-under ``repro.kernel``, ``repro.resilience``, and (for
-``IncrementalDataflow``) ``repro.dataflow`` package attributes now emit
-:class:`DeprecationWarning`.
+(:class:`Observer`).  Each name also lives in its defining module
+(``repro.resilience.engine.run_analysis``,
+``repro.kernel.session.AnalysisSession``, ...); those are the only other
+spellings.
 """
 
 from repro.cfg import CFG, CFGBuilder, Edge, InvalidCFGError, cfg_from_edges

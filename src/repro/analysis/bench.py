@@ -152,6 +152,7 @@ def run_batch_bench(items: int, workers: int, size: int = 120, seed: int = 7) ->
     On single-core hosts the parallel run is expected to be *slower*
     (pure process overhead); consumers must gate on ``cpu_count``.
     """
+    from repro.config import AnalysisConfig
     from repro.resilience.batch import run_batch
     from repro.synth.structured import random_lowered_procedure
 
@@ -164,10 +165,10 @@ def run_batch_bench(items: int, workers: int, size: int = 120, seed: int = 7) ->
         return [(f"item{i}", (lambda c=cfg: c)) for i, cfg in enumerate(cfgs)]
 
     t0 = time.perf_counter()
-    serial_report = run_batch(corpus(), workers=1)
+    serial_report = run_batch(corpus())
     serial_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    parallel_report = run_batch(corpus(), workers=workers)
+    parallel_report = run_batch(corpus(), config=AnalysisConfig(workers=workers))
     parallel_s = time.perf_counter() - t0
     serial_statuses = [r.status for r in serial_report.results]
     parallel_statuses = [r.status for r in parallel_report.results]

@@ -88,7 +88,10 @@ class CFG:
         self._edges: List[Edge] = []
         self._next_eid = 0
         self._version = 0
-        # The graph's shared AnalysisSession (repro.kernel.session_for).
+        # The graph's CSR snapshot (repro.kernel.registry.shared_frozen),
+        # which holds the graph weakly, so both die by reference counting.
+        self._frozen = None
+        # The graph's shared AnalysisSession (repro.kernel.session.session_for).
         # Kept here, not in a registry keyed by the graph, so the pair is
         # one reference cycle that the collector frees with the graph.
         self._session = None

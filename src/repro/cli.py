@@ -599,8 +599,8 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-cache-bytes", type=int, default=32 * 1024 * 1024, metavar="N",
-        help="total byte budget for session caches and the frozen-CSR "
-        "registry (default 32MiB)",
+        help="total byte budget for the client session shards, which bound "
+        "every cached graph with its snapshot and session (default 32MiB)",
     )
     parser.add_argument(
         "--max-clients", type=int, default=64, metavar="N",

@@ -1,33 +1,33 @@
 """One frozen configuration object for the whole analysis surface.
 
-:class:`AnalysisConfig` replaces the ad-hoc keyword sprawl of
+:class:`AnalysisConfig` is the one way to tune
 :func:`repro.resilience.engine.run_analysis`,
-:func:`repro.resilience.batch.run_batch`, and
+:func:`repro.resilience.batch.run_batch`,
+:class:`repro.incremental.session.EditSession`, and
 :func:`repro.kernel.session.session_for`: engine behaviour (retry ladder,
 postcondition scope), guards (deadline/step budget), fault injection,
-observability, and batch execution (workers, retries, backoff) live in one
-immutable, reusable value::
+observability, batch execution (workers, retries, backoff) and edit
+maintenance live in one immutable, reusable value::
 
     from repro import AnalysisConfig, Observer, run_analysis
 
     config = AnalysisConfig(deadline=2.0, observer=Observer())
     result = run_analysis(cfg, config=config)
 
-The old per-call keywords still work but emit :class:`DeprecationWarning`;
-:func:`coalesce_config` is the single place that folds them in, so every
-entry point deprecates identically.
-
 The dataclass is frozen so a config can be shared across threads, batches,
 and sessions without defensive copying; derive variants with
 :meth:`AnalysisConfig.replace`.
+
+Memory is not tuned here.  A graph's snapshot and analysis session live on
+the graph and are freed with it; a long-lived holder of many graphs (the
+service) bounds them by bounding the graphs it keeps.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.obs.observer import Observer
 
@@ -87,13 +87,6 @@ class AnalysisConfig:
     retries: int = 1
     backoff: float = 0.05
     backoff_factor: float = 2.0
-    #: Byte bound for analysis caches (``None`` = unbounded, the historical
-    #: behaviour).  When set, the engine's per-call :class:`AnalysisSession`
-    #: memoization, :func:`~repro.kernel.session.session_for` sessions, and
-    #: the process-wide frozen-CSR registry all evict least-recently-used
-    #: entries once their size-accounted cost (CSR array bytes, see
-    #: :func:`repro.service.cache.frozen_cost_bytes`) exceeds the bound.
-    max_cache_bytes: Optional[int] = None
     #: Maintain cached analyses incrementally under CFG edit deltas (the
     #: :class:`~repro.incremental.session.EditSession` regional-splice
     #: path).  ``False`` makes every delta trigger a full recompute --
@@ -120,8 +113,6 @@ class AnalysisConfig:
             raise ValueError("backoff and backoff_factor must be >= 0")
         if self.step_budget is not None and self.step_budget < 0:
             raise ValueError("step_budget must be >= 0")
-        if self.max_cache_bytes is not None and self.max_cache_bytes < 0:
-            raise ValueError("max_cache_bytes must be >= 0")
         if not 0.0 <= self.verify_incremental_rate <= 1.0:
             raise ValueError("verify_incremental_rate must be within [0, 1]")
         if self.analyses is not None:
@@ -135,29 +126,3 @@ class AnalysisConfig:
 
 #: The all-defaults config every entry point starts from.
 DEFAULT_CONFIG = AnalysisConfig()
-
-_UNSET = object()
-
-
-def coalesce_config(
-    config: Optional[AnalysisConfig],
-    caller: str,
-    legacy: Dict[str, object],
-) -> AnalysisConfig:
-    """Fold deprecated per-call keywords into a config, warning once per call.
-
-    ``legacy`` maps field name -> value, with :data:`_UNSET` marking
-    keywords the caller did not pass.  Explicit legacy keywords override
-    the corresponding ``config`` field (matching the historical behaviour
-    where the keyword was the only spelling).
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not _UNSET}
-    if supplied:
-        warnings.warn(
-            f"{caller}: keyword(s) {', '.join(sorted(supplied))} are "
-            "deprecated; pass config=AnalysisConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    base = config if config is not None else DEFAULT_CONFIG
-    return base.replace(**supplied) if supplied else base

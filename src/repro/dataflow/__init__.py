@@ -29,33 +29,12 @@ from repro.dataflow.structural import StructuralSolver, solve_structural
 from repro.dataflow.interval_solver import solve_interval
 
 
-def __getattr__(name):
-    # ``IncrementalDataflow``'s canonical home moved to ``repro.incremental``
-    # (the layer that keeps it current across *structural* CFG edits); this
-    # package-attribute spelling still works but is deprecated.  The lazy
-    # re-export is also what keeps ``import repro.dataflow`` free of the
-    # incremental layer.
-    if name == "IncrementalDataflow":
-        import warnings
-
-        warnings.warn(
-            "importing IncrementalDataflow from repro.dataflow is deprecated; "
-            "use `from repro.incremental import IncrementalDataflow` instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.dataflow.incremental import IncrementalDataflow
-
-        return IncrementalDataflow
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "StructuralSolver",
     "solve_structural",
     "solve_interval",
     "NAC",
     "ConstantPropagation",
-    "IncrementalDataflow",
     "DataflowProblem",
     "GenKillProblem",
     "Solution",

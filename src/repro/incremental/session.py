@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.cfg.graph import CFG, NodeId
 from repro.cfg.validate import check_cfg, validate_cfg
-from repro.config import _UNSET, AnalysisConfig, coalesce_config
+from repro.config import AnalysisConfig
 from repro.core.cycle_equiv import cycle_equivalence_of_cfg
 from repro.core.pst import build_pst
 from repro.incremental.compare import diff_artifacts
@@ -86,39 +86,18 @@ class EditSession:
     """Atomic, validated edits over one CFG with maintained analyses.
 
     ``config`` follows the standard :class:`~repro.config.AnalysisConfig`
-    surface (``incremental``, ``verify_incremental_rate``, ``observer``,
-    ``max_cache_bytes``); with no config at all, ``incremental`` defaults
-    *on* -- an edit session exists to maintain, not recompute.  The
-    ``incremental=`` / ``verify_incremental_rate=`` keywords are the
-    deprecated legacy spelling and warn like every other entry point.
+    surface (``incremental``, ``verify_incremental_rate``, ``observer``);
+    with no config at all, ``incremental`` defaults *on* -- an edit session
+    exists to maintain, not recompute.
     """
 
-    def __init__(
-        self,
-        cfg: CFG,
-        config: Optional[AnalysisConfig] = None,
-        *,
-        incremental: Any = _UNSET,
-        verify_incremental_rate: Any = _UNSET,
-    ):
-        resolved = coalesce_config(
-            config,
-            "EditSession",
-            {
-                "incremental": incremental,
-                "verify_incremental_rate": verify_incremental_rate,
-            },
-        )
-        if config is None and incremental is _UNSET:
-            resolved = resolved.replace(incremental=True)
-        self.config = resolved
+    def __init__(self, cfg: CFG, config: Optional[AnalysisConfig] = None):
+        if config is None:
+            config = AnalysisConfig(incremental=True)
+        self.config = config
         self.cfg = cfg
         validate_cfg(cfg)
-        self.session = AnalysisSession(
-            cfg,
-            observer=resolved.observer,
-            max_cache_bytes=resolved.max_cache_bytes,
-        )
+        self.session = AnalysisSession(cfg, observer=config.observer)
         self.stats = EditStats()
         self.equiv = None
         self.pst = None

@@ -17,10 +17,13 @@ time bounds in Python.  This package provides the compact counterpart:
   :mod:`repro.core.cycle_equiv`, :mod:`repro.dominance.lengauer_tarjan`,
   and :mod:`repro.dataflow.iterative` run by default (the object-graph
   implementations are retained as reference oracles).
+* :func:`~repro.kernel.registry.shared_frozen` -- the graph's one
+  snapshot, kept on the graph and re-frozen only after a mutation.
 * :class:`~repro.kernel.session.AnalysisSession` -- a per-graph memo of
-  derived artifacts (frozen snapshot, cycle equivalence, SESE regions, PST,
-  dominators/postdominators, control regions) keyed on the snapshot's
-  version, so pipelines compute each artifact exactly once per graph.
+  derived artifacts (cycle equivalence, SESE regions, PST,
+  dominators/postdominators, control regions) keyed on the graph's
+  version, so pipelines compute each artifact exactly once per graph
+  (import it from :mod:`repro`).
 
 See ``docs/PERFORMANCE.md`` for layout details and measured speedups.
 """
@@ -28,41 +31,8 @@ See ``docs/PERFORMANCE.md`` for layout details and measured speedups.
 from repro.kernel.csr import FrozenCFG, freeze
 from repro.kernel.registry import shared_frozen
 
-# The session module imports the high-level analyses (PST, SESE, control
-# regions), which themselves import this package for the kernels -- so its
-# re-exports must be lazy (PEP 562) to avoid a circular import.
-_LAZY = {
-    "AnalysisSession": "repro.kernel.session",
-    "session_for": "repro.kernel.session",
-}
-
-# Both names are promoted to the canonical top-level surface; this
-# package-attribute spelling still works but is deprecated.
-_DEPRECATED = ("AnalysisSession", "session_for")
-
-
-def __getattr__(name):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if name in _DEPRECATED:
-        import warnings
-
-        warnings.warn(
-            f"importing {name} from repro.kernel is deprecated; "
-            f"use `from repro import {name}` instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
 __all__ = [
-    "AnalysisSession",
     "FrozenCFG",
     "freeze",
-    "session_for",
     "shared_frozen",
 ]

@@ -55,6 +55,7 @@ class FrozenCFG:
         "self_loops",
         "validated",
         "undirected",
+        "__weakref__",
     )
 
     def __init__(
@@ -75,11 +76,11 @@ class FrozenCFG:
         pred_src: List[int],
         self_loops: List[int],
     ):
-        # Weak, not strong: the shared-snapshot registry maps CFG -> frozen
-        # in a WeakKeyDictionary, and a value that strongly referenced its
-        # key would pin the entry forever -- in a long-lived server, a
-        # per-request memory leak.  Snapshots are pure derived data; every
-        # consumer that walks back to the object graph holds the CFG itself.
+        # Weak, not strong: the graph keeps its shared snapshot
+        # (``cfg._frozen``), and a strong back-reference would make the pair
+        # a cycle that only the cyclic collector frees.  Held weakly,
+        # reference counting frees the graph and its snapshot together.
+        # Every consumer that walks back to the object graph holds the CFG.
         self._cfg_ref = weakref.ref(cfg)
         self.version = version
         self.num_nodes = len(node_ids)

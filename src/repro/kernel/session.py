@@ -19,6 +19,11 @@ drops artifacts explicitly -- all of them, or a named subset (the engine
 does a full drop between retry attempts so a corrupted artifact is never
 reused).
 
+The memo is a plain dict, unbounded by design: it holds at most one of
+each artifact of one graph, and every artifact is O(V + E) in that graph.
+It is bounded by bounding the graphs -- whoever keeps graphs alive (the
+service's session shards) keeps their sessions alive, nothing else does.
+
 ``session_for`` hands out one session per live CFG, stored on the graph
 itself so that it dies with the graph.
 """
@@ -36,9 +41,6 @@ from repro.kernel.registry import shared_frozen
 from repro.obs import observer as _obs
 from repro.obs.observer import Observer
 
-#: Distinct default for bounded-cache lookups (None is a legal artifact).
-_MISS = object()
-
 
 class AnalysisSession:
     """Per-CFG cache of derived analysis artifacts.
@@ -54,38 +56,13 @@ class AnalysisSession:
     to the engine's retry counters.
     """
 
-    __slots__ = (
-        "cfg",
-        "observer",
-        "max_cache_bytes",
-        "_cache",
-        "_lru",
-        "hits",
-        "misses",
-        "stale",
-        "__weakref__",
-    )
+    __slots__ = ("cfg", "observer", "_cache", "hits", "misses", "stale", "__weakref__")
 
-    def __init__(
-        self,
-        cfg: CFG,
-        observer: Optional[Observer] = None,
-        max_cache_bytes: Optional[int] = None,
-    ):
+    def __init__(self, cfg: CFG, observer: Optional[Observer] = None):
         self.cfg = cfg
         self.observer = observer
-        #: Optional byte bound on the artifact memo (``None`` = unbounded).
-        #: Artifacts are all O(V + E) structures, so each is charged the
-        #: CSR byte estimate of its CFG -- cheap, monotone in graph size,
-        #: and consistent with the frozen-registry accounting.
-        self.max_cache_bytes = max_cache_bytes
         #: ``key -> (version, value)`` -- the stamp decides per-key staleness.
         self._cache: Dict[str, Any] = {}
-        self._lru = None
-        if max_cache_bytes is not None:
-            from repro.service.cache import SizedLRU
-
-            self._lru = SizedLRU(max_cache_bytes, name="kernel.session")
         self.hits = 0
         self.misses = 0
         self.stale = 0
@@ -108,13 +85,9 @@ class AnalysisSession:
         """
         if keys is None:
             self._cache.clear()
-            if self._lru is not None:
-                self._lru.clear()
             return
         for key in keys:
             self._cache.pop(key, None)
-            if self._lru is not None:
-                self._lru.pop(key, None)
 
     def put_artifact(self, key: str, value: Any) -> None:
         """Seed ``key`` with an externally maintained ``value``.
@@ -125,66 +98,22 @@ class AnalysisSession:
         incremental layer's differential verification exists to keep that
         promise honest.
         """
-        entry = (self.cfg.version, value)
-        if self._lru is not None:
-            from repro.service.cache import cfg_cost_bytes
-
-            self._lru.put(key, entry, cfg_cost_bytes(self.cfg))
-        else:
-            self._cache[key] = entry
+        self._cache[key] = (self.cfg.version, value)
 
     def cache_info(self) -> Dict[str, int]:
         """Hit/miss/stale counters and the number of artifacts held."""
-        lru = self._lru
-        size = len(self._cache) if lru is None else len(lru)
-        info = {
+        return {
             "hits": self.hits,
             "misses": self.misses,
-            "size": size,
+            "size": len(self._cache),
             "stale": self.stale,
         }
-        if lru is not None:
-            info["bytes"] = lru.total_bytes
-            info["evictions"] = lru.evictions
-        return info
-
-    def set_max_cache_bytes(self, max_cache_bytes: Optional[int]) -> None:
-        """Arm, resize, or (with ``None``) disarm the artifact byte bound.
-
-        Used by :func:`session_for` so a long-lived shared session can be
-        (re)bounded by a later config without being torn down.  Disarming
-        keeps currently held artifacts; shrinking evicts immediately.
-        """
-        if max_cache_bytes == self.max_cache_bytes:
-            return
-        self.max_cache_bytes = max_cache_bytes
-        if max_cache_bytes is None:
-            if self._lru is not None:
-                for key in self._lru.keys():
-                    self._cache[key] = self._lru.get(key)
-                self._lru = None
-            return
-        if self._lru is None:
-            from repro.service.cache import SizedLRU, cfg_cost_bytes
-
-            self._lru = SizedLRU(max_cache_bytes, name="kernel.session")
-            cost = cfg_cost_bytes(self.cfg)
-            for key, value in self._cache.items():
-                self._lru.put(key, value, cost)
-            self._cache.clear()
-        else:
-            self._lru.resize(max_cache_bytes)
 
     def _memo(self, key: str, compute: Callable[[], Any]) -> Any:
         o = self.observer if self.observer is not None else _obs._CURRENT
         version = self.cfg.version
-        lru = self._lru
-        sentinel = _MISS
-        if lru is not None:
-            entry = lru.get(key, sentinel)
-        else:
-            entry = self._cache.get(key, sentinel)
-        if entry is not sentinel:
+        entry = self._cache.get(key)
+        if entry is not None:
             if entry[0] == version:
                 self.hits += 1
                 if o is not None:
@@ -195,12 +124,7 @@ class AnalysisSession:
         if o is not None:
             o.count("session.cache", artifact=key, result="miss")
         value = compute()
-        if lru is not None:
-            from repro.service.cache import cfg_cost_bytes
-
-            lru.put(key, (version, value), cfg_cost_bytes(self.cfg))
-        else:
-            self._cache[key] = (version, value)
+        self._cache[key] = (version, value)
         return value
 
     # ------------------------------------------------------------------
@@ -293,23 +217,13 @@ def session_for(cfg: CFG, config: Optional["AnalysisConfig"] = None) -> Analysis
     engine) construct their own :class:`AnalysisSession` instead.
 
     ``config`` (an :class:`~repro.config.AnalysisConfig`) contributes its
-    ``observer`` -- passing one (re)binds the session's metrics sink, so
+    ``observer``: passing one (re)binds the session's metrics sink, so
     long-lived driver sessions can be pointed at a fresh registry without
-    being torn down -- and its ``max_cache_bytes``, which arms (or resizes)
-    the session's artifact byte bound via
-    :meth:`AnalysisSession.set_max_cache_bytes`.
+    being torn down.
     """
     session = cfg._session
     if session is None:
-        session = AnalysisSession(
-            cfg,
-            max_cache_bytes=(
-                config.max_cache_bytes if config is not None else None
-            ),
-        )
-        cfg._session = session
-    elif config is not None and config.max_cache_bytes is not None:
-        session.set_max_cache_bytes(config.max_cache_bytes)
+        session = cfg._session = AnalysisSession(cfg)
     if config is not None and config.observer is not None:
         session.observer = config.observer
     return session

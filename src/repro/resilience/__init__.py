@@ -37,34 +37,19 @@ _LAZY = {
     "AnalysisResult": "repro.resilience.engine",
     "Attempt": "repro.resilience.engine",
     "Diagnostic": "repro.resilience.engine",
-    "run_analysis": "repro.resilience.engine",
     "ALL_SITES": "repro.resilience.faults",
     "FaultPlan": "repro.resilience.faults",
     "FaultSite": "repro.resilience.faults",
     "inject": "repro.resilience.faults",
     "BatchItemResult": "repro.resilience.batch",
     "BatchReport": "repro.resilience.batch",
-    "run_batch": "repro.resilience.batch",
 }
-
-# Names promoted to the canonical top-level surface; this package-attribute
-# spelling still works but is deprecated.
-_DEPRECATED = ("run_analysis", "run_batch")
 
 
 def __getattr__(name):
     module_name = _LAZY.get(name)
     if module_name is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if name in _DEPRECATED:
-        import warnings
-
-        warnings.warn(
-            f"importing {name} from repro.resilience is deprecated; "
-            f"use `from repro import {name}` instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     import importlib
 
     return getattr(importlib.import_module(module_name), name)
@@ -86,6 +71,4 @@ __all__ = [
     "ResourceExhausted",
     "Ticker",
     "inject",
-    "run_analysis",
-    "run_batch",
 ]

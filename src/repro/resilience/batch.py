@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.cfg.graph import CFG
-from repro.config import AnalysisConfig, _UNSET, coalesce_config
+from repro.config import DEFAULT_CONFIG, AnalysisConfig
 from repro.obs import observer as _obs
 from repro.obs.observer import Observer
 from repro.resilience.engine import AnalysisResult, run_analysis
@@ -240,13 +240,6 @@ def run_batch(
     checkpoint_path: Optional[str] = None,
     resume: bool = True,
     config: Optional[AnalysisConfig] = None,
-    retries: object = _UNSET,
-    backoff: object = _UNSET,
-    backoff_factor: object = _UNSET,
-    deadline: object = _UNSET,
-    step_budget: object = _UNSET,
-    workers: object = _UNSET,
-    engine: object = _UNSET,
     on_item: Optional[Callable[[BatchItemResult], None]] = None,
     sleep: Callable[[float], None] = time.sleep,
     clock: Callable[[], float] = time.monotonic,
@@ -265,8 +258,7 @@ def run_batch(
     ``config.observer`` is additionally installed ambiently around the
     batch so per-item latency histograms and status counters accumulate in
     one place.  ``on_item`` observes each fresh (non-resumed) result as it
-    completes.  The remaining keywords are deprecated aliases for the
-    corresponding config fields.
+    completes.
 
     ``config.workers > 1`` fans the engine calls out over a process pool:
     thunks still run in this process (they are arbitrary closures), but
@@ -293,19 +285,8 @@ def run_batch(
     :class:`BatchSerialFallback` warning naming the reasons and runs the
     batch serially.
     """
-    config = coalesce_config(
-        config,
-        "run_batch",
-        {
-            "retries": retries,
-            "backoff": backoff,
-            "backoff_factor": backoff_factor,
-            "deadline": deadline,
-            "step_budget": step_budget,
-            "workers": workers,
-            "engine": engine,
-        },
-    )
+    if config is None:
+        config = DEFAULT_CONFIG
     started = clock()
     done = (
         load_checkpoint(checkpoint_path)

@@ -56,10 +56,8 @@ from repro.dominance.iterative import edge_dominance, immediate_dominators
 from repro.kernel.session import AnalysisSession
 from repro.config import (
     ALL_ANALYSES,
-    DEFAULT_FULL_CHECK_LIMIT,
+    DEFAULT_CONFIG,
     AnalysisConfig,
-    _UNSET,
-    coalesce_config,
 )
 from repro.errors import (
     BudgetExceeded,
@@ -143,11 +141,6 @@ def run_analysis(
     analyses: Optional[Sequence[str]] = None,
     *,
     config: Optional[AnalysisConfig] = None,
-    deadline: object = _UNSET,
-    step_budget: object = _UNSET,
-    fast_retries: object = _UNSET,
-    full_check_limit: object = _UNSET,
-    check_every: object = _UNSET,
     clock: Callable[[], float] = time.monotonic,
 ) -> AnalysisResult:
     """Run the requested analyses resiliently; never raises.
@@ -163,20 +156,10 @@ def run_analysis(
     ``config.profile`` arms per-phase timers on every attempt's ticker.
 
     ``analyses`` overrides ``config.analyses`` when given (default: all
-    stages).  The remaining keywords are deprecated aliases for the
-    corresponding config fields.
+    stages).
     """
-    config = coalesce_config(
-        config,
-        "run_analysis",
-        {
-            "deadline": deadline,
-            "step_budget": step_budget,
-            "fast_retries": fast_retries,
-            "full_check_limit": full_check_limit,
-            "check_every": check_every,
-        },
-    )
+    if config is None:
+        config = DEFAULT_CONFIG
     if analyses is None:
         analyses = config.analyses if config.analyses is not None else ALL_ANALYSES
     try:
@@ -304,14 +287,8 @@ def _run_ladders(
     # One private session per engine call: fast paths share the frozen
     # snapshot and each artifact is computed once across stages, but the
     # ladder invalidates it before every retry/fallback so a corrupted
-    # artifact is never reused (fault injection sees fresh runs).  A
-    # configured byte bound also arms the process-wide frozen registry,
-    # so long-lived callers get one knob for every analysis cache.
-    if config.max_cache_bytes is not None:
-        from repro.kernel import registry as _registry
-
-        _registry.configure(config.max_cache_bytes)
-    session = AnalysisSession(cfg, max_cache_bytes=config.max_cache_bytes)
+    # artifact is never reused (fault injection sees fresh runs).
+    session = AnalysisSession(cfg)
     stages = _build_stages(cfg, session, config.full_check_limit)
     results: Dict[str, object] = {}
     aborted = False

@@ -4,9 +4,10 @@ This package turns the library into something a fleet can run: a
 stdlib-only JSON-over-HTTP server (:mod:`repro.service.server`) exposing
 ``run_analysis``/``run_batch`` over the resilience engine, with
 
-* size-accounted LRU caches (:mod:`repro.service.cache`) bounding both the
-  per-client session shards and -- via ``AnalysisConfig.max_cache_bytes`` --
-  the kernel layer's frozen-CSR registry and session memoization;
+* size-accounted LRU caches (:mod:`repro.service.cache`): per-client
+  session shards under ``ServiceConfig.max_cache_bytes``, the server's one
+  memory bound -- each graph's snapshot and analysis session live on the
+  graph and are freed with it;
 * token-bucket + queue-depth admission control
   (:mod:`repro.service.admission`) that sheds load with structured 429/503
   diagnostics and degrades gracefully under pressure instead of queuing
@@ -21,16 +22,15 @@ stdlib-only JSON-over-HTTP server (:mod:`repro.service.server`) exposing
 See docs/ROBUSTNESS.md ("Serving and load shedding") for the operational
 contract and exit codes.
 
-Re-exports are lazy: :mod:`repro.kernel.registry` imports
-:mod:`repro.service.cache` for the LRU, so an eager ``from .server import
-...`` here would close an import cycle through the kernel layer.
+Re-exports are lazy, so importing one submodule (say, the cache) does not
+load the HTTP server and the soak harness.
 """
 
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.admission import AdmissionController, TokenBucket
-    from repro.service.cache import ShardedSessionCache, SizedLRU, frozen_cost_bytes
+    from repro.service.cache import ShardedSessionCache, SizedLRU
     from repro.service.server import AnalysisServer, ServiceConfig
     from repro.service.soak import SoakConfig, SoakReport, run_soak
 
@@ -43,7 +43,6 @@ __all__ = [
     "SoakConfig",
     "SoakReport",
     "TokenBucket",
-    "frozen_cost_bytes",
     "run_soak",
 ]
 
@@ -52,7 +51,6 @@ _EXPORTS = {
     "TokenBucket": "repro.service.admission",
     "ShardedSessionCache": "repro.service.cache",
     "SizedLRU": "repro.service.cache",
-    "frozen_cost_bytes": "repro.service.cache",
     "AnalysisServer": "repro.service.server",
     "ServiceConfig": "repro.service.server",
     "SoakConfig": "repro.service.soak",

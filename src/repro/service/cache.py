@@ -1,20 +1,22 @@
-"""Size-accounted LRU caching for the analysis service and kernel layer.
+"""Size-accounted LRU caching: the one bound on the service's memory.
 
-The frozen-CSR registry and :class:`~repro.kernel.session.AnalysisSession`
-memoization were designed for short-lived driver processes, where "dies
-with the graph" (weak keys) is a sufficient bound.  A long-lived server
-holds strong references to thousands of client graphs, so every cache on
-the hot path must be *byte-bounded*: a :class:`SizedLRU` charges each entry
-an explicit cost (for CFG-derived artifacts, the CSR array byte estimate of
-:func:`frozen_cost_bytes`) and evicts least-recently-used entries until the
-total fits, counting every eviction into the ambient
-:class:`~repro.obs.metrics.MetricsRegistry` as ``cache.evict`` so cache
-pressure is visible on ``/metrics`` next to the engine's retry counters.
+A long-lived server keeps client graphs, and every graph carries its own
+frozen CSR snapshot and shared analysis session (``cfg._frozen`` and
+``cfg._session``), which are freed with it.  So bounding the graphs the
+server keeps bounds all of its analysis memory, and this module is where
+that happens: a :class:`SizedLRU` charges each entry an explicit cost (for
+a cached graph, the CSR byte estimate of :func:`cfg_cost_bytes`) and evicts
+least-recently-used entries until the total fits, counting every eviction
+into the ambient :class:`~repro.obs.metrics.MetricsRegistry` as
+``cache.evict`` so cache pressure is visible on ``/metrics`` next to the
+engine's retry counters.
 
 :class:`ShardedSessionCache` layers per-client fairness on top: each client
 gets its own LRU shard with an equal slice of the byte budget, and the
 shard set itself is LRU-bounded, so one chatty client can neither evict
-everyone else's sessions nor grow the shard map without bound.
+everyone else's sessions nor grow the shard map without bound.  All shards
+share one ``cache`` label, so the metric series stay fixed however many
+clients the server has seen; per-client detail is on ``/statusz``.
 
 Everything here is thread-safe (one lock per cache -- operations are a few
 dict moves, never analysis work) and stdlib-only.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.obs import observer as _obs
 
@@ -37,30 +39,15 @@ BYTES_PER_ENTRY = 16
 SNAPSHOT_OVERHEAD = 512
 
 
-def frozen_cost_bytes(frozen) -> int:
-    """Estimated resident bytes of one frozen CSR snapshot.
+def cfg_cost_bytes(cfg) -> int:
+    """Estimated resident bytes of the frozen CSR snapshot of ``cfg``.
 
     Counts the dense integer arrays (three per direction plus the edge
-    endpoint pair) and the ``index_of`` map.  An estimate, not an audit --
-    what matters is that cost is *monotone in graph size* and consistent
-    across entries, so a byte budget translates into a graph budget.
-    """
-    n, m = frozen.num_nodes, frozen.num_edges
-    entries = (
-        2 * m  # edge_src / edge_dst
-        + 2 * (n + 1)  # succ_off / pred_off
-        + 4 * m  # succ_edge / succ_dst / pred_edge / pred_src
-        + len(frozen.self_loops)
-        + 3 * n  # node_ids + index_of keys/values
-    )
-    return SNAPSHOT_OVERHEAD + BYTES_PER_ENTRY * entries
-
-
-def cfg_cost_bytes(cfg) -> int:
-    """The :func:`frozen_cost_bytes` estimate computed from a live CFG.
-
-    Used where the snapshot may not exist yet (admission decisions, session
-    artifact accounting): same formula, driven by the CFG's own counts.
+    endpoint pair and the offsets) and the ``index_of`` map, from the
+    graph's own counts, so it can be charged before the snapshot exists.
+    An estimate, not an audit -- what matters is that cost is *monotone in
+    graph size* and consistent across entries, so a byte budget translates
+    into a graph budget.
     """
     n, m = cfg.num_nodes, cfg.num_edges
     return SNAPSHOT_OVERHEAD + BYTES_PER_ENTRY * (6 * m + 2 * (n + 1) + 3 * n)
@@ -69,26 +56,15 @@ def cfg_cost_bytes(cfg) -> int:
 class SizedLRU:
     """A byte-bounded, thread-safe LRU map with explicit per-entry costs.
 
-    ``max_bytes=None`` disables eviction (the cache degenerates to a plain
-    recency-ordered dict), so callers can thread an optional bound through
-    without branching.  ``name`` labels the ``cache.evict`` /
-    ``cache.bytes`` observability signals; ``on_evict(key, value)`` lets
-    owners release resources (never called under the lock's critical
-    section for user code re-entry safety -- evicted pairs are collected
-    first, called after).
+    ``name`` labels the ``cache.lookup`` / ``cache.evict`` /
+    ``cache.bytes`` / ``cache.entries`` observability signals.
     """
 
-    def __init__(
-        self,
-        max_bytes: Optional[int],
-        name: str = "lru",
-        on_evict: Optional[Callable[[Any, Any], None]] = None,
-    ):
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError("max_bytes must be >= 0 (or None for unbounded)")
+    def __init__(self, max_bytes: int, name: str = "lru"):
+        if max_bytes < 0:
+            raise ValueError("max_bytes must be >= 0")
         self.max_bytes = max_bytes
         self.name = name
-        self.on_evict = on_evict
         self.evictions = 0
         self.hits = 0
         self.misses = 0
@@ -132,76 +108,27 @@ class SizedLRU:
         """
         if cost < 0:
             raise ValueError("cost must be >= 0")
-        evicted = []
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._total -= old[1]
             self._entries[key] = (value, cost)
             self._total += cost
-            if self.max_bytes is not None:
-                while self._total > self.max_bytes and len(self._entries) > 1:
-                    old_key, (old_value, old_cost) = self._entries.popitem(last=False)
-                    self._total -= old_cost
-                    self.evictions += 1
-                    self._count("cache.evict", reason="size")
-                    evicted.append((old_key, old_value))
-                # A single entry over budget: keep it (see docstring) unless
-                # the budget is zero, where caching is explicitly off.
-                if self.max_bytes == 0 and self._entries:
-                    old_key, (old_value, old_cost) = self._entries.popitem(last=False)
-                    self._total -= old_cost
-                    self.evictions += 1
-                    self._count("cache.evict", reason="size")
-                    evicted.append((old_key, old_value))
+            # A single entry over budget stays (see docstring) unless the
+            # budget is zero, where caching is explicitly off.
+            floor = 0 if self.max_bytes == 0 else 1
+            while self._total > self.max_bytes and len(self._entries) > floor:
+                _, (_, old_cost) = self._entries.popitem(last=False)
+                self._total -= old_cost
+                self.evictions += 1
+                self._count("cache.evict", reason="size")
             self._gauge()
-        if self.on_evict is not None:
-            for old_key, old_value in evicted:
-                try:
-                    self.on_evict(old_key, old_value)
-                except Exception:
-                    pass  # eviction callbacks must never break the cache
-
-    def pop(self, key: Any, default: Any = None) -> Any:
-        with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is None:
-                return default
-            self._total -= entry[1]
-            self._gauge()
-            return entry[0]
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self._total = 0
             self._gauge()
-
-    def keys(self) -> Iterator[Any]:
-        with self._lock:
-            return iter(list(self._entries.keys()))
-
-    def resize(self, max_bytes: Optional[int]) -> None:
-        """Change the budget; shrinking evicts immediately."""
-        evicted = []
-        with self._lock:
-            self.max_bytes = max_bytes
-            if max_bytes is not None:
-                while self._total > max_bytes and len(self._entries) > (
-                    0 if max_bytes == 0 else 1
-                ):
-                    old_key, (old_value, old_cost) = self._entries.popitem(last=False)
-                    self._total -= old_cost
-                    self.evictions += 1
-                    self._count("cache.evict", reason="resize")
-                    evicted.append((old_key, old_value))
-            self._gauge()
-        if self.on_evict is not None:
-            for old_key, old_value in evicted:
-                try:
-                    self.on_evict(old_key, old_value)
-                except Exception:
-                    pass
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
@@ -215,14 +142,12 @@ class SizedLRU:
 
     # ------------------------------------------------------------------
     def _count(self, metric: str, **labels: str) -> None:
-        # ``_obs`` can already be torn down when a weakref death callback
-        # lands during interpreter shutdown -- stay silent, never raise.
-        o = _obs._CURRENT if _obs is not None else None
+        o = _obs._CURRENT
         if o is not None:
             o.count(metric, cache=self.name, **labels)
 
     def _gauge(self) -> None:
-        o = _obs._CURRENT if _obs is not None else None
+        o = _obs._CURRENT
         if o is not None:
             o.set_gauge("cache.bytes", self._total, cache=self.name)
             o.set_gauge("cache.entries", len(self._entries), cache=self.name)
@@ -237,7 +162,13 @@ class ShardedSessionCache:
     whatever the service stores per CFG (an entry holding the CFG, its
     live edit session, and cached responses);
     this class only does the byte accounting and fairness.
+
+    Every shard is labelled ``cache="service.sessions"``; lookups and
+    evictions sum over shards, and ``cache.bytes`` / ``cache.entries``
+    report the whole cache's totals.
     """
+
+    name = "service.sessions"
 
     def __init__(self, max_bytes: int, max_clients: int = 64):
         if max_clients < 1:
@@ -246,20 +177,24 @@ class ShardedSessionCache:
         self.max_clients = max_clients
         self.per_client_bytes = max(1, max_bytes // max_clients)
         self._lock = threading.Lock()
-        self._shards: "OrderedDict[str, SizedLRU]" = OrderedDict()
+        self._shards: "OrderedDict[str, _Shard]" = OrderedDict()
+        # Running totals over all shards, behind their own lock: shards
+        # report under their own lock, which shard() may already hold
+        # ``_lock`` around (evicting a client).
+        self._totals_lock = threading.Lock()
+        self._bytes = 0
+        self._entries = 0
 
     def shard(self, client: str) -> SizedLRU:
         """The (created-on-demand) LRU shard for ``client``."""
         with self._lock:
             shard = self._shards.get(client)
             if shard is None:
-                shard = SizedLRU(
-                    self.per_client_bytes, name=f"service.sessions[{client}]"
-                )
+                shard = _Shard(self)
                 self._shards[client] = shard
                 while len(self._shards) > self.max_clients:
                     _, dead = self._shards.popitem(last=False)
-                    dead.clear()
+                    dead.retire()
                     o = _obs._CURRENT
                     if o is not None:
                         o.count("cache.evict", cache="service.shards", reason="clients")
@@ -269,8 +204,7 @@ class ShardedSessionCache:
 
     @property
     def total_bytes(self) -> int:
-        with self._lock:
-            return sum(s.total_bytes for s in self._shards.values())
+        return self._bytes
 
     def stats(self) -> Dict[str, object]:
         with self._lock:
@@ -281,3 +215,45 @@ class ShardedSessionCache:
             "evictions": sum(s["evictions"] for s in shards.values()),
             "shards": shards,
         }
+
+    def _adjust(self, nbytes: int, entries: int) -> None:
+        with self._totals_lock:
+            self._bytes += nbytes
+            self._entries += entries
+            o = _obs._CURRENT
+            if o is not None:
+                o.set_gauge("cache.bytes", self._bytes, cache=self.name)
+                o.set_gauge("cache.entries", self._entries, cache=self.name)
+
+
+class _Shard(SizedLRU):
+    """One client's slice of a :class:`ShardedSessionCache`.
+
+    Its gauges go to the owner, which reports totals over all shards.
+    """
+
+    def __init__(self, owner: ShardedSessionCache):
+        super().__init__(owner.per_client_bytes, name=owner.name)
+        self._owner: Optional[ShardedSessionCache] = owner
+        self._reported = (0, 0)
+
+    def retire(self) -> None:
+        """Empty the shard of an evicted client and stop reporting.
+
+        A request thread may still hold the shard and put into it; such
+        entries live only as long as that reference and are not counted.
+        """
+        with self._lock:
+            self._entries.clear()
+            self._total = 0
+            self._gauge()
+            self._owner = None
+
+    def _gauge(self) -> None:
+        # Runs under this shard's lock after every change: hand the owner
+        # the change since the last report.
+        owner = self._owner
+        if owner is not None:
+            nbytes, entries = self._total, len(self._entries)
+            owner._adjust(nbytes - self._reported[0], entries - self._reported[1])
+            self._reported = (nbytes, entries)

@@ -17,14 +17,18 @@ every request passes, in order, through
 4. the per-client session cache -- a
    :class:`~repro.service.cache.ShardedSessionCache` keyed by a stable
    graph key, holding the CFG, its live edit session, and cached
-   responses, byte-bounded by ``ServiceConfig.max_cache_bytes``.
+   responses, byte-bounded by ``ServiceConfig.max_cache_bytes``.  This is
+   the server's one memory bound: each graph's snapshot and analysis
+   session live on the graph and are freed with it.
 
 Endpoints:
 
 ``POST /run_analysis``
-    Body: ``{"client": str?, "synth": {"seed", "size"}? | "source": str? |
-    "cfg": {"edges", "start"?, "end"?}?, "analyses": [...]?,
-    "deadline": seconds?}``.  Exactly one graph spelling is required.
+    Body: ``{"client": str?, "synth": {"seed", "size", "extra_edges"?}? |
+    "source": str? | "cfg": {"edges", "start"?, "end"?}?, "analyses": [...]?,
+    "deadline": seconds?}``.  Exactly one graph spelling is required;
+    ``size`` and ``extra_edges`` are integers in [0, 100000], ``deadline``
+    is finite and positive.
 ``POST /run_batch``
     ``{"items": [<run_analysis body>, ...]}`` (capped at
     ``max_batch_items``); responses are per-item, admission is per-item.
@@ -59,6 +63,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -134,11 +139,15 @@ def _cfg_from_request(body: Dict[str, Any]) -> Tuple[str, Any]:
         try:
             seed = int(spec.get("seed", 0))
             size = int(spec.get("size", 20))
-        except (TypeError, ValueError):
-            raise _BadRequest("'synth' seed/size must be integers") from None
+            extra = int(spec.get("extra_edges", max(1, size // 2)))
+        except (TypeError, ValueError, OverflowError):
+            raise _BadRequest(
+                "'synth' seed/size/extra_edges must be integers"
+            ) from None
         if size < 0 or size > 100_000:
             raise _BadRequest("'synth' size must be in [0, 100000]")
-        extra = int(spec.get("extra_edges", max(1, size // 2)))
+        if extra < 0 or extra > 100_000:
+            raise _BadRequest("'synth' extra_edges must be in [0, 100000]")
         from repro.synth.unstructured import random_cfg
 
         return f"synth:{seed}:{size}:{extra}", random_cfg(
@@ -180,6 +189,24 @@ def _cfg_from_request(body: Dict[str, Any]) -> Tuple[str, Any]:
     canonical = json.dumps([list(e) for e in edges] + [start, end], sort_keys=True)
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
     return f"cfg:{digest}", cfg
+
+
+def _deadline_from_request(body: Dict[str, Any], config: ServiceConfig) -> float:
+    """The request's deadline in seconds, clamped to ``max_deadline``.
+
+    Must be finite: ``json.loads`` accepts ``NaN`` and ``Infinity``, and a
+    NaN deadline would never expire (every comparison with it is false).
+    """
+    deadline = body.get("deadline")
+    if deadline is None:
+        return min(config.default_deadline, config.max_deadline)
+    try:
+        deadline = float(deadline)
+    except (TypeError, ValueError):
+        raise _BadRequest("'deadline' must be a number") from None
+    if not math.isfinite(deadline) or deadline <= 0:
+        raise _BadRequest("'deadline' must be a finite number > 0")
+    return min(deadline, config.max_deadline)
 
 
 def _analyses_from_request(body: Dict[str, Any]) -> Tuple[str, ...]:
@@ -260,12 +287,6 @@ class AnalysisServer:
         )
         self._obs_ctx = _obs.observe(self.observer)
         self._obs_ctx.__enter__()
-        # The engine config the service layers per-request settings onto:
-        # the service's byte bound also arms the kernel registry through
-        # run_analysis (AnalysisConfig.max_cache_bytes).
-        self._base_config = self.config.analysis.replace(
-            max_cache_bytes=self.config.max_cache_bytes
-        )
         return self._httpd
 
     @property
@@ -388,8 +409,6 @@ class AnalysisServer:
                 pass  # client went away mid-error: nothing left to tell it
 
     def statusz(self) -> Dict[str, Any]:
-        from repro.kernel.registry import registry_stats
-
         with self._requests_lock:
             requests = self.requests
         return {
@@ -398,7 +417,6 @@ class AnalysisServer:
             "requests": requests,
             "admission": self.admission.stats(),
             "sessions": self.sessions.stats(),
-            "registry": registry_stats(),
         }
 
     def handle_run_analysis(
@@ -432,6 +450,7 @@ class AnalysisServer:
         if not isinstance(client, str):
             raise _BadRequest("'client' must be a string")
         analyses = _analyses_from_request(body)
+        deadline = _deadline_from_request(body, self.config)
         graph_key, cfg = _cfg_from_request(body)
 
         with self._requests_lock:
@@ -448,24 +467,13 @@ class AnalysisServer:
             cached = True
             result_body = dict(response)
         else:
-            deadline = body.get("deadline")
-            if deadline is not None:
-                try:
-                    deadline = float(deadline)
-                except (TypeError, ValueError):
-                    raise _BadRequest("'deadline' must be a number") from None
-                if deadline <= 0:
-                    raise _BadRequest("'deadline' must be > 0")
-            else:
-                deadline = self.config.default_deadline
-            deadline = min(deadline, self.config.max_deadline)
             overrides: Dict[str, Any] = {"deadline": deadline, "analyses": analyses}
             if mode == "degraded":
                 overrides.update(_DEGRADED_OVERRIDES)
                 overrides["deadline"] = min(
                     deadline, self.config.degraded_deadline
                 )
-            engine_config = self._base_config.replace(**overrides)
+            engine_config = self.config.analysis.replace(**overrides)
             # entry.cfg, not the request's spelling: /apply_delta may have
             # edited the client's live graph since it was first cached.
             # The entry lock keeps the engine from racing a concurrent edit.
@@ -583,7 +591,7 @@ class AnalysisServer:
         with entry.lock:
             if entry.edit is None:
                 entry.edit = EditSession(
-                    entry.cfg, self._base_config.replace(incremental=True)
+                    entry.cfg, self.config.analysis.replace(incremental=True)
                 )
             edit = entry.edit
             applied = 0

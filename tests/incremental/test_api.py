@@ -1,4 +1,4 @@
-"""The incremental layer's public surface and deprecation shims."""
+"""The incremental layer's public surface."""
 
 import warnings
 
@@ -24,18 +24,6 @@ def test_incremental_package_all_is_importable():
     for name in inc.__all__:
         assert getattr(inc, name) is not None
     assert "IncrementalDataflow" in inc.__all__
-
-
-def test_dataflow_incremental_import_warns_and_aliases():
-    import repro.dataflow as dataflow
-    from repro.incremental import IncrementalDataflow
-
-    with pytest.warns(
-        DeprecationWarning,
-        match="from repro.incremental import IncrementalDataflow",
-    ):
-        shimmed = dataflow.IncrementalDataflow
-    assert shimmed is IncrementalDataflow
 
 
 def test_undeprecated_dataflow_names_stay_silent():

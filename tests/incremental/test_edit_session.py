@@ -171,15 +171,6 @@ def test_non_incremental_config_recomputes_every_delta():
     assert_matches_scratch(session)
 
 
-def test_legacy_keywords_warn_but_work():
-    with pytest.warns(DeprecationWarning, match="incremental"):
-        session = EditSession(diamond(), incremental=False)
-    assert session.config.incremental is False
-    with pytest.warns(DeprecationWarning, match="verify_incremental_rate"):
-        session = EditSession(diamond(), verify_incremental_rate=1.0)
-    assert session.config.verify_incremental_rate == 1.0
-
-
 def test_verify_rate_is_validated():
     with pytest.raises(ValueError, match="verify_incremental_rate"):
         AnalysisConfig(verify_incremental_rate=1.5)

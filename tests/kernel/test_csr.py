@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 from repro.cfg.builder import cfg_from_edges
 from repro.cfg.graph import CFG
 from repro.core.cycle_equiv import cycle_equivalence_of_cfg
@@ -116,3 +119,32 @@ def test_undirected_csr_cached_per_virtual_edge_tuple():
     assert key == ((frozen.end, frozen.start),)
     cycle_equivalence_of_cfg(cfg)
     assert frozen.undirected[key] is cached  # reused, not rebuilt
+
+
+def test_a_dropped_graph_and_its_snapshot_are_freed_without_the_collector():
+    """The graph keeps its snapshot; the snapshot holds the graph weakly.
+
+    With no reference cycle between them, reference counting alone frees
+    both the moment the caller drops the graph -- also after the public
+    analyses and the engine have run on it.
+    """
+    from repro.controldep.regions_fast import control_regions
+    from repro.core.pst import build_pst
+    from repro.dominance.lengauer_tarjan import lengauer_tarjan
+    from repro.resilience.engine import run_analysis
+    from repro.synth.unstructured import random_cfg
+
+    cfg = random_cfg(9, num_nodes=30, extra_edges=10)
+    build_pst(cfg)
+    lengauer_tarjan(cfg)
+    control_regions(cfg)
+    assert run_analysis(cfg).ok
+    graph = weakref.ref(cfg)
+    snapshot = weakref.ref(shared_frozen(cfg))
+    gc.disable()
+    try:
+        del cfg
+        assert graph() is None
+        assert snapshot() is None
+    finally:
+        gc.enable()

@@ -76,8 +76,8 @@ def test_encode_decode_roundtrip_preserves_structure():
 
 
 def test_parallel_matches_serial_in_order_and_status():
-    serial = run_batch(corpus(), retries=0)
-    parallel = run_batch(corpus(), retries=0, workers=2)
+    serial = run_batch(corpus(), config=AnalysisConfig(retries=0))
+    parallel = run_batch(corpus(), config=AnalysisConfig(retries=0, workers=2))
     assert strip(parallel) == strip(serial)
     assert [r.key for r in parallel.results] == [k for k, _ in corpus()]
     statuses = {r.key: r.status for r in parallel.results}
@@ -89,16 +89,19 @@ def test_parallel_matches_serial_in_order_and_status():
 
 def test_parallel_writes_and_resumes_checkpoint(tmp_path):
     path = str(tmp_path / "batch.jsonl")
-    first = run_batch(corpus(), retries=0, workers=2, checkpoint_path=path)
+    config = AnalysisConfig(retries=0, workers=2)
+    first = run_batch(corpus(), config=config, checkpoint_path=path)
     assert len(load_checkpoint(path)) == len(first.results)
-    second = run_batch(corpus(), retries=0, workers=2, checkpoint_path=path)
+    second = run_batch(corpus(), config=config, checkpoint_path=path)
     assert all(r.resumed for r in second.results)
     assert [r.key for r in second.results] == [k for k, _ in corpus()]
 
 
 def test_parallel_on_item_sees_every_fresh_result():
     seen = []
-    run_batch(corpus(), retries=0, workers=2, on_item=seen.append)
+    run_batch(
+        corpus(), config=AnalysisConfig(retries=0, workers=2), on_item=seen.append
+    )
     assert sorted(r.key for r in seen) == sorted(k for k, _ in corpus())
 
 
@@ -109,7 +112,9 @@ def test_custom_sleep_forces_serial_path_despite_workers():
     recorder = RecordingSleep()
     with pytest.warns(BatchSerialFallback) as caught:
         report = run_batch(
-            [("crash", crasher)], retries=2, backoff=0.5, workers=4, sleep=recorder
+            [("crash", crasher)],
+            config=AnalysisConfig(retries=2, backoff=0.5, workers=4),
+            sleep=recorder,
         )
     assert report.results[0].status == "error"
     assert recorder.calls == [0.5, 1.0]
@@ -234,6 +239,6 @@ def test_worker_killed_mid_item_still_reports_every_item():
 @pytest.mark.skipif((os.cpu_count() or 1) < 4, reason="needs real cores")
 def test_parallel_is_faster_on_multicore():
     items = [(f"item.{i}", good_cfg) for i in range(16)]
-    serial = run_batch(items, retries=0)
-    parallel = run_batch(items, retries=0, workers=4)
+    serial = run_batch(items, config=AnalysisConfig(retries=0))
+    parallel = run_batch(items, config=AnalysisConfig(retries=0, workers=4))
     assert parallel.elapsed < serial.elapsed

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cfg.builder import cfg_from_edges
+from repro.config import AnalysisConfig
 from repro.resilience import faults
 from repro.resilience.batch import (
     BatchItemResult,
@@ -55,9 +56,7 @@ def test_item_crash_is_isolated_and_retried_with_backoff():
     sleep = RecordingSleep()
     report = run_batch(
         items(("boom", crasher), ("fine", good_cfg)),
-        retries=2,
-        backoff=0.1,
-        backoff_factor=2.0,
+        config=AnalysisConfig(retries=2, backoff=0.1, backoff_factor=2.0),
         sleep=sleep,
     )
     assert not report.ok
@@ -69,7 +68,11 @@ def test_item_crash_is_isolated_and_retried_with_backoff():
 
 
 def test_invalid_cfg_marks_item_failed_not_error():
-    report = run_batch(items(("bad", bad_cfg)), retries=0, sleep=RecordingSleep())
+    report = run_batch(
+        items(("bad", bad_cfg)),
+        config=AnalysisConfig(retries=0),
+        sleep=RecordingSleep(),
+    )
     (result,) = report.results
     assert result.status == "failed"
     assert "invalid CFG" in result.error
@@ -136,7 +139,11 @@ def test_retry_succeeds_after_transient_environment_failure():
             raise OSError("transient filesystem hiccup")
         return good_cfg()
 
-    report = run_batch(items(("flaky", flaky)), retries=1, sleep=RecordingSleep())
+    report = run_batch(
+        items(("flaky", flaky)),
+        config=AnalysisConfig(retries=1),
+        sleep=RecordingSleep(),
+    )
     assert report.ok
     (result,) = report.results
     assert result.status == "ok" and result.tries == 2
@@ -151,7 +158,7 @@ def test_checkpoint_written_one_json_line_per_item(tmp_path):
     run_batch(
         items(("a", good_cfg), ("b", bad_cfg)),
         checkpoint_path=path,
-        retries=0,
+        config=AnalysisConfig(retries=0),
         sleep=RecordingSleep(),
     )
     lines = [json.loads(line) for line in open(path)]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cfg.builder import cfg_from_edges
 from repro.cfg.graph import CFG
+from repro.config import AnalysisConfig
 from repro.controldep.regions_fast import control_regions
 from repro.core.pst import build_pst
 from repro.dominance.iterative import immediate_dominators
@@ -142,7 +143,7 @@ def test_fault_sweep_over_fuzz_corpus():
 # ----------------------------------------------------------------------
 
 def test_expired_deadline_reported_not_raised():
-    result = run_analysis(demo_cfg(), deadline=0.0)
+    result = run_analysis(demo_cfg(), config=AnalysisConfig(deadline=0.0))
     assert not result.ok
     assert "deadline" in result.error
     # Later stages are marked skipped rather than silently absent.
@@ -151,7 +152,7 @@ def test_expired_deadline_reported_not_raised():
 
 
 def test_tiny_step_budget_reported_not_raised():
-    result = run_analysis(chain_cfg(40), step_budget=3)
+    result = run_analysis(chain_cfg(40), config=AnalysisConfig(step_budget=3))
     assert not result.ok
     assert "pst" in result.error
     budget_attempts = [
@@ -161,7 +162,9 @@ def test_tiny_step_budget_reported_not_raised():
 
 
 def test_generous_guards_leave_fast_path_untouched():
-    result = run_analysis(demo_cfg(), deadline=3600.0, step_budget=10_000_000)
+    result = run_analysis(
+        demo_cfg(), config=AnalysisConfig(deadline=3600.0, step_budget=10_000_000)
+    )
     assert result.ok and not result.degraded
 
 

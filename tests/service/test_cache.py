@@ -1,22 +1,15 @@
-"""SizedLRU / ShardedSessionCache semantics and the bounded kernel caches."""
+"""SizedLRU / ShardedSessionCache semantics: the service's memory bound."""
 
-import gc
+import sys
 import threading
 
 import pytest
 
 from repro.cfg.builder import cfg_from_edges
-from repro.kernel import registry
-from repro.kernel.session import AnalysisSession, session_for
+from repro.kernel.session import AnalysisSession
 from repro.obs import observer as _obs
 from repro.obs.observer import Observer
-from repro.service.cache import (
-    BYTES_PER_ENTRY,
-    ShardedSessionCache,
-    SizedLRU,
-    cfg_cost_bytes,
-    frozen_cost_bytes,
-)
+from repro.service.cache import ShardedSessionCache, SizedLRU, cfg_cost_bytes
 from repro.synth.unstructured import random_cfg
 
 
@@ -24,14 +17,6 @@ def diamond():
     return cfg_from_edges(
         [("start", "a"), ("a", "b", "T"), ("a", "c", "F"), ("b", "end"), ("c", "end")]
     )
-
-
-@pytest.fixture(autouse=True)
-def _unbounded_registry():
-    """Every test starts and ends with the historical unbounded registry."""
-    registry.configure(None)
-    yield
-    registry.configure(None)
 
 
 # ----------------------------------------------------------------------
@@ -75,20 +60,11 @@ def test_zero_budget_disables_caching_entirely():
     assert lru.evictions == 1
 
 
-def test_unbounded_lru_never_evicts():
-    lru = SizedLRU(None)
-    for i in range(100):
-        lru.put(i, i, 10**6)
-    assert len(lru) == 100 and lru.evictions == 0
-
-
-def test_lru_pop_and_clear_release_bytes():
-    lru = SizedLRU(None)
+def test_lru_clear_releases_bytes():
+    lru = SizedLRU(100)
     lru.put("a", 1, 10)
     lru.put("b", 2, 20)
-    assert lru.pop("a") == 1
-    assert lru.pop("missing", "default") == "default"
-    assert lru.total_bytes == 20
+    assert lru.total_bytes == 30
     lru.clear()
     assert lru.total_bytes == 0 and len(lru) == 0
 
@@ -111,32 +87,6 @@ def test_lru_rejects_negative_budget_and_cost():
     lru = SizedLRU(10)
     with pytest.raises(ValueError):
         lru.put("a", 1, -5)
-
-
-def test_resize_shrink_evicts_immediately_and_grow_does_not():
-    lru = SizedLRU(40)
-    for key in "abcd":
-        lru.put(key, key, 10)
-    lru.resize(20)
-    assert sorted(lru.keys()) == ["c", "d"]
-    lru.resize(None)
-    lru.put("e", "e", 100)
-    assert len(lru) == 3  # unbounded again
-
-
-def test_on_evict_runs_outside_the_lock_and_swallows_errors():
-    evicted = []
-
-    def hook(key, value):
-        evicted.append(key)
-        raise RuntimeError("hook bug must not break the cache")
-
-    lru = SizedLRU(20, on_evict=hook)
-    lru.put("a", 1, 10)
-    lru.put("b", 2, 10)
-    lru.put("c", 3, 10)  # evicts "a"; hook raises, cache survives
-    assert evicted == ["a"]
-    assert sorted(lru.keys()) == ["b", "c"]
 
 
 def test_eviction_and_lookup_metrics_reach_the_ambient_observer():
@@ -171,8 +121,7 @@ def test_lru_is_thread_safe_under_concurrent_churn():
     for t in threads:
         t.join()
     assert not errors
-    if lru.max_bytes is not None:
-        assert lru.total_bytes <= max(lru.max_bytes, 17)
+    assert lru.total_bytes <= max(lru.max_bytes, 17)
 
 
 # ----------------------------------------------------------------------
@@ -183,16 +132,6 @@ def test_cost_estimates_are_monotone_in_graph_size():
     small = random_cfg(0, num_nodes=10, extra_edges=5)
     large = random_cfg(0, num_nodes=100, extra_edges=50)
     assert cfg_cost_bytes(small) < cfg_cost_bytes(large)
-    assert frozen_cost_bytes(registry.shared_frozen(small)) < frozen_cost_bytes(
-        registry.shared_frozen(large)
-    )
-
-
-def test_frozen_and_cfg_cost_agree_up_to_self_loops():
-    cfg = random_cfg(3, num_nodes=30, extra_edges=15)
-    frozen = registry.shared_frozen(cfg)
-    delta = frozen_cost_bytes(frozen) - cfg_cost_bytes(cfg)
-    assert delta == BYTES_PER_ENTRY * len(frozen.self_loops)
 
 
 # ----------------------------------------------------------------------
@@ -243,84 +182,78 @@ def test_max_clients_must_be_positive():
         ShardedSessionCache(100, max_clients=0)
 
 
-# ----------------------------------------------------------------------
-# bounded kernel registry
-# ----------------------------------------------------------------------
-
-def test_registry_bound_evicts_lru_snapshots_and_refreezes_on_demand():
-    cfgs = [random_cfg(seed, num_nodes=40, extra_edges=20) for seed in range(4)]
-    one_cost = frozen_cost_bytes(registry.shared_frozen(cfgs[0]))
-    registry.configure(2 * one_cost + one_cost // 2)  # room for ~2 snapshots
-    for cfg in cfgs:
-        registry.shared_frozen(cfg)
-    stats = registry.registry_stats()
-    assert stats["bounded"]
-    assert stats["entries"] <= 2
-    assert stats["evictions"] >= 2
-    # An evicted snapshot is simply re-frozen on next demand.
-    frozen = registry.shared_frozen(cfgs[0])
-    assert frozen.num_nodes == cfgs[0].num_nodes
-
-
-def test_registry_configure_is_idempotent_and_disarmable():
-    registry.configure(10**6)
-    registry.configure(10**6)  # no-op
-    assert registry.max_cache_bytes() == 10**6
-    registry.configure(None)
-    assert registry.max_cache_bytes() is None
-    assert registry.registry_stats()["bounded"] is False
+def test_shards_share_one_label_and_gauges_report_cache_totals():
+    obs = Observer(trace=False, metrics=True)
+    with _obs.observe(obs):
+        cache = ShardedSessionCache(300, max_clients=2)
+        cache.shard("a").put("x", 1, 30)
+        cache.shard("a").get("x")
+        cache.shard("b").put("y", 2, 40)
+        cache.shard("b").put("z", 3, 50)
+        m = obs.metrics
+        assert m.gauge("cache.bytes", cache="service.sessions").value == 120
+        assert m.gauge("cache.entries", cache="service.sessions").value == 3
+        cache.shard("c")  # evicts client "a" and its 30 bytes
+        assert m.gauge("cache.bytes", cache="service.sessions").value == 90
+        assert m.gauge("cache.entries", cache="service.sessions").value == 2
+    assert m.count_of("cache.lookup", cache="service.sessions", result="hit") == 1
+    assert cache.total_bytes == 90
+    names = {key for key in m.snapshot()["gauges"]}
+    assert not any("[" in name for name in names)
 
 
-def test_registry_accounting_never_keeps_dead_graphs():
-    registry.configure(10**9)
-    cfg = random_cfg(9, num_nodes=30, extra_edges=10)
-    registry.shared_frozen(cfg)
-    before = registry.registry_stats()["entries"]
-    del cfg
-    gc.collect()
-    assert registry.registry_stats()["entries"] <= before - 1
+def test_a_put_into_an_evicted_clients_shard_is_not_counted():
+    cache = ShardedSessionCache(300, max_clients=1)
+    held = cache.shard("a")
+    cache.shard("b")  # evicts "a" while a request still holds its shard
+    held.put("late", 1, 50)
+    assert cache.total_bytes == 0 == cache.stats()["bytes"]
 
 
-def test_tracking_ref_death_callback_is_lock_free():
-    """A CFG dying while the LRU lock is held must not deadlock.
+def test_sharded_totals_hold_under_concurrent_churn_and_client_eviction():
+    """Totals and gauges equal the live shards' sum after racing threads.
 
-    The weakref death callback fires during garbage collection, which can
-    trigger inside an allocation made *while this thread already holds the
-    LRU lock* (e.g. mid-``SizedLRU.put``).  A callback that called
-    ``lru.pop`` would self-deadlock there -- seen as a whole-suite hang in
-    the service tests.  The callback must therefore only enqueue the dead
-    ref; the next registry operation drains it under normal context.
+    Seven clients share two shard slots, so clients are evicted while
+    other threads still hold their shards and put into them; those late
+    entries must not be counted.
     """
-    registry.configure(10**9)
-    cfg = random_cfg(17, num_nodes=20, extra_edges=8)
-    registry.shared_frozen(cfg)
-    before = registry.registry_stats()["entries"]
-    lru = registry._LRU
-    assert lru is not None
-    acquired = lru._lock.acquire(timeout=5)
-    assert acquired
+    obs = Observer(trace=False, metrics=True)
+    cache = ShardedSessionCache(400, max_clients=2)
+    errors = []
+
+    def churn(worker):
+        try:
+            for i in range(2000):
+                shard = cache.shard(f"c{(worker + i) % 7}")
+                shard.put(i % 5, i, 7 + i % 13)
+                shard.get((i + 1) % 5)
+        except Exception as error:  # pragma: no cover - failure path
+            errors.append(error)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        del cfg
-        gc.collect()  # runs the death callback on this thread, lock held
+        with _obs.observe(obs):
+            threads = [threading.Thread(target=churn, args=(w,)) for w in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
     finally:
-        lru._lock.release()
-    assert registry._DEAD_REFS  # retired lazily, not during GC
-    assert registry.registry_stats()["entries"] == before - 1  # drained here
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    stats = cache.stats()
+    entries = sum(shard["entries"] for shard in stats["shards"].values())
+    gauge = obs.metrics.gauge
+    assert cache.total_bytes == stats["bytes"]
+    assert gauge("cache.bytes", cache="service.sessions").value == stats["bytes"]
+    assert gauge("cache.entries", cache="service.sessions").value == entries
 
 
 # ----------------------------------------------------------------------
-# bounded AnalysisSession memoization
+# AnalysisSession: a plain memo
 # ----------------------------------------------------------------------
-
-def test_bounded_session_evicts_artifacts_and_reports_bytes():
-    cfg = diamond()
-    session = AnalysisSession(cfg, max_cache_bytes=cfg_cost_bytes(cfg))
-    session.pst()  # computes "equiv" then "pst": only one slot fits
-    info = session.cache_info()
-    assert info["size"] == 1
-    assert info["evictions"] >= 1
-    assert info["bytes"] <= cfg_cost_bytes(cfg)
-
 
 def test_unbounded_session_reports_no_byte_fields():
     session = AnalysisSession(diamond())
@@ -328,35 +261,3 @@ def test_unbounded_session_reports_no_byte_fields():
     info = session.cache_info()
     assert "bytes" not in info and "evictions" not in info
     assert info["size"] >= 2
-
-
-def test_set_max_cache_bytes_arms_resizes_and_disarms_in_place():
-    cfg = diamond()
-    session = AnalysisSession(cfg)
-    pst = session.pst()
-    session.set_max_cache_bytes(10 * cfg_cost_bytes(cfg))  # arm: migrates
-    assert session.pst() is pst  # artifact survived the migration
-    session.set_max_cache_bytes(None)  # disarm: migrates back
-    assert session.pst() is pst
-    assert "bytes" not in session.cache_info()
-
-
-def test_session_for_forwards_the_config_bound():
-    from repro.config import AnalysisConfig
-
-    cfg = diamond()
-    session = session_for(cfg, AnalysisConfig(max_cache_bytes=123456))
-    assert session.max_cache_bytes == 123456
-    # A later config with a different bound resizes the same session.
-    again = session_for(cfg, AnalysisConfig(max_cache_bytes=654321))
-    assert again is session and session.max_cache_bytes == 654321
-
-
-def test_engine_config_bound_arms_the_registry():
-    from repro.config import AnalysisConfig
-    from repro.resilience.engine import run_analysis
-
-    cfg = diamond()
-    result = run_analysis(cfg, config=AnalysisConfig(max_cache_bytes=10**7))
-    assert result.ok
-    assert registry.registry_stats()["bounded"]

@@ -1,16 +1,10 @@
-"""AnalysisConfig: the one frozen config, plus the legacy-kwarg coalescer."""
+"""AnalysisConfig: the one frozen config."""
 
 import dataclasses
 
 import pytest
 
-from repro.config import (
-    ALL_ANALYSES,
-    DEFAULT_CONFIG,
-    _UNSET,
-    AnalysisConfig,
-    coalesce_config,
-)
+from repro.config import ALL_ANALYSES, AnalysisConfig
 
 
 def test_config_is_frozen():
@@ -48,42 +42,6 @@ def test_analyses_iterables_normalize_to_tuples():
 def test_invalid_fields_raise_value_error(kwargs):
     with pytest.raises(ValueError):
         AnalysisConfig(**kwargs)
-
-
-def test_coalesce_without_legacy_returns_base_unchanged():
-    base = AnalysisConfig(deadline=2.0)
-    assert coalesce_config(base, "f", {"deadline": _UNSET}) is base
-    assert coalesce_config(None, "f", {"deadline": _UNSET}) is DEFAULT_CONFIG
-
-
-def test_coalesce_warns_and_legacy_overrides_config():
-    base = AnalysisConfig(deadline=2.0, step_budget=10)
-    with pytest.warns(DeprecationWarning, match="f: keyword\\(s\\) deadline"):
-        merged = coalesce_config(
-            base, "f", {"deadline": 9.0, "step_budget": _UNSET}
-        )
-    assert merged.deadline == 9.0
-    assert merged.step_budget == 10  # untouched fields come from the config
-
-
-def test_engine_legacy_kwargs_warn_and_apply():
-    from repro.cfg.builder import cfg_from_edges
-    from repro.resilience.engine import run_analysis
-
-    cfg = cfg_from_edges([("start", "a"), ("a", "end")], "start", "end")
-    with pytest.warns(DeprecationWarning, match="run_analysis: keyword"):
-        result = run_analysis(cfg, deadline=3600.0, step_budget=10**9)
-    assert result.ok
-
-
-def test_batch_legacy_kwargs_warn_and_apply():
-    from repro.cfg.builder import cfg_from_edges
-    from repro.resilience.batch import run_batch
-
-    cfg = cfg_from_edges([("start", "a"), ("a", "end")], "start", "end")
-    with pytest.warns(DeprecationWarning, match="run_batch: keyword"):
-        report = run_batch([("k", lambda: cfg)], retries=0)
-    assert report.results[0].status == "ok"
 
 
 def test_engine_config_analyses_select_stages():

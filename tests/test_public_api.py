@@ -1,4 +1,4 @@
-"""The canonical top-level surface, and the deprecated deep-import shims."""
+"""The canonical top-level surface: one spelling per promoted name."""
 
 import importlib
 import warnings
@@ -43,13 +43,14 @@ def test_lazy_exports_raise_clean_attribute_error():
         ("repro.resilience", "run_batch"),
         ("repro.kernel", "AnalysisSession"),
         ("repro.kernel", "session_for"),
+        ("repro.dataflow", "IncrementalDataflow"),
     ],
 )
-def test_old_deep_import_spellings_warn_but_work(module, name):
+def test_removed_package_attribute_spellings_are_gone(module, name):
     package = importlib.import_module(module)
-    with pytest.warns(DeprecationWarning, match=f"from repro import {name}"):
-        deep = getattr(package, name)
-    assert deep is getattr(repro, name)
+    with pytest.raises(AttributeError):
+        getattr(package, name)
+    assert name not in package.__all__
 
 
 def test_undeprecated_resilience_names_stay_silent():
