@@ -414,7 +414,6 @@ def trace_main(argv: List[str], out) -> int:
                 deadline=args.deadline,
                 step_budget=args.step_budget,
                 observer=observer,
-                profile=args.profile,
             )
             result = run_analysis(proc.cfg, config=config)
             if not result.ok:

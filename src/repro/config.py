@@ -2,12 +2,11 @@
 
 :class:`AnalysisConfig` is the one way to tune
 :func:`repro.resilience.engine.run_analysis`,
-:func:`repro.resilience.batch.run_batch`,
-:class:`repro.incremental.session.EditSession`, and
-:func:`repro.kernel.session.session_for`: engine behaviour (retry ladder,
-postcondition scope), guards (deadline/step budget), fault injection,
-observability, batch execution (workers, retries, backoff) and edit
-maintenance live in one immutable, reusable value::
+:func:`repro.resilience.batch.run_batch`, and
+:class:`repro.incremental.session.EditSession`: engine behaviour (retry
+ladder, postcondition scope), guards (deadline/step budget), fault
+injection, observability, batch execution (workers, retries, backoff) and
+edit verification live in one immutable, reusable value::
 
     from repro import AnalysisConfig, Observer, run_analysis
 
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.obs.observer import Observer
 
@@ -46,9 +45,7 @@ class AnalysisConfig:
 
     Engine
         ``analyses`` (None = all three stages), ``fast_retries``,
-        ``full_check_limit``, ``engine`` (a custom engine callable for
-        :func:`~repro.resilience.batch.run_batch`; ``None`` = the built-in
-        :func:`~repro.resilience.engine.run_analysis`).
+        ``full_check_limit``.
     Guards
         ``deadline`` seconds (global per engine call), ``step_budget``
         per attempt, ``check_every`` checkpoint spacing.
@@ -57,9 +54,10 @@ class AnalysisConfig:
         installed for the duration of each engine call.
     Observability
         ``observer`` -- a :class:`~repro.obs.observer.Observer` installed
-        ambiently for the duration of each call; ``profile`` arms
-        per-phase :meth:`~repro.resilience.guards.Ticker.mark` timers on
-        every ticker the engine creates.  An observer is compatible with
+        ambiently for the duration of each call; one built with
+        ``profile=True`` arms per-phase
+        :meth:`~repro.resilience.guards.Ticker.mark` timers on every ticker
+        the engine creates.  An observer is compatible with
         ``workers > 1``: :func:`~repro.resilience.batch.run_batch` gives
         each worker process a fresh shard built from the observer's
         switches and merges the shards (spans re-parented, metrics
@@ -67,31 +65,23 @@ class AnalysisConfig:
     Batch
         ``workers``, ``retries``, ``backoff``, ``backoff_factor``.
     Incremental
-        ``incremental`` enables regional PST/cycle-equivalence maintenance
-        under :class:`~repro.incremental.session.EditSession` deltas;
-        ``verify_incremental_rate`` samples accepted deltas for
+        ``verify_incremental_rate`` samples the deltas an
+        :class:`~repro.incremental.session.EditSession` accepts for
         differential verification against recompute-from-scratch.
     """
 
     analyses: Optional[Tuple[str, ...]] = None
     fast_retries: int = 1
     full_check_limit: int = DEFAULT_FULL_CHECK_LIMIT
-    engine: Optional[Callable] = None
     deadline: Optional[float] = None
     step_budget: Optional[int] = None
     check_every: int = 512
     faults: Optional[object] = None  # FaultPlan; untyped to avoid an import cycle
     observer: Optional[Observer] = None
-    profile: bool = False
     workers: int = 1
     retries: int = 1
     backoff: float = 0.05
     backoff_factor: float = 2.0
-    #: Maintain cached analyses incrementally under CFG edit deltas (the
-    #: :class:`~repro.incremental.session.EditSession` regional-splice
-    #: path).  ``False`` makes every delta trigger a full recompute --
-    #: slower, but bit-for-bit the reference behaviour.
-    incremental: bool = False
     #: Fraction of accepted deltas whose incremental result is differentially
     #: verified against a recompute-from-scratch (0.0 = never, 1.0 = every
     #: delta).  A mismatch adopts the scratch result and is counted, never

@@ -123,8 +123,31 @@ class RemoveNode:
 DELTA_TYPES = {cls.op: cls for cls in (AddEdge, RemoveEdge, AddNode, RemoveNode)}
 
 
+def _node_id(value: Any, field_name: str) -> NodeId:
+    """``value`` if it can name a node on the wire: a string or an integer."""
+    # bool is an int subclass, but JSON true/false names no node.
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise DeltaValidationError(
+            f"{field_name} must be a string or integer node id, got {value!r}"
+        )
+    return value
+
+
+def _node_ids(value: Any, field_name: str) -> Tuple[NodeId, ...]:
+    if not isinstance(value, list):
+        raise DeltaValidationError(
+            f"{field_name} must be a list of node ids, got {type(value).__name__}"
+        )
+    return tuple(_node_id(item, field_name) for item in value)
+
+
 def delta_from_json(spec: Any):
-    """Decode one delta from its wire format (see each type's ``to_json``)."""
+    """Decode one delta from its wire format (see each type's ``to_json``).
+
+    Node ids must be strings or integers and ``preds``/``succs`` lists;
+    anything else is a :class:`DeltaValidationError`, never a ``TypeError``
+    from hashing a list or dict id deeper down.
+    """
     if not isinstance(spec, dict):
         raise DeltaValidationError(f"delta must be an object, got {type(spec).__name__}")
     op = spec.get("op")
@@ -133,19 +156,29 @@ def delta_from_json(spec: Any):
         raise DeltaValidationError(f"unknown delta op {op!r} (expected one of: {known})")
     try:
         if op == "add_edge":
-            return AddEdge(spec["source"], spec["target"], spec.get("label"))
+            return AddEdge(
+                _node_id(spec["source"], "source"),
+                _node_id(spec["target"], "target"),
+                spec.get("label"),
+            )
         if op == "remove_edge":
             eid = spec.get("eid")
             if eid is not None and not isinstance(eid, int):
                 raise DeltaValidationError("remove_edge eid must be an integer")
-            return RemoveEdge(spec["source"], spec["target"], eid)
+            return RemoveEdge(
+                _node_id(spec["source"], "source"),
+                _node_id(spec["target"], "target"),
+                eid,
+            )
         if op == "add_node":
-            return AddNode(spec["node"], tuple(spec.get("preds", ())), tuple(spec.get("succs", ())))
-        return RemoveNode(spec["node"])
+            return AddNode(
+                _node_id(spec["node"], "node"),
+                _node_ids(spec.get("preds", []), "preds"),
+                _node_ids(spec.get("succs", []), "succs"),
+            )
+        return RemoveNode(_node_id(spec["node"], "node"))
     except KeyError as missing:
         raise DeltaValidationError(f"delta op {op!r} is missing key {missing.args[0]!r}") from None
-    except TypeError as error:
-        raise DeltaValidationError(f"malformed delta for op {op!r}: {error}") from None
 
 
 # ----------------------------------------------------------------------

@@ -14,12 +14,14 @@ layer::
 Per accepted delta the session locates the smallest canonical SESE region
 enclosing the touched nodes in the cached PST, recomputes cycle
 equivalence and the PST subtree regionally, and splices the result in
-(:mod:`repro.incremental.splice`); the wrapped
-:class:`~repro.kernel.session.AnalysisSession` keeps the maintained
-``pst``/``equiv`` artifacts warm while dominators and friends go stale
-per-key and lazily recompute.  Anything the splice path cannot absorb --
-the edit escapes to the root, a defensive invariant trips, an injected
-fault fires -- degrades to a verified full recompute; it never raises.
+(:mod:`repro.incremental.splice`).  The maintained ``pst``/``equiv``
+artifacts live in the graph's own
+:class:`~repro.kernel.session.AnalysisSession` (``session_for(cfg)``), so
+every caller reading that session after an edit gets the spliced tree,
+while dominators and friends go stale per-key and lazily recompute.
+Anything the splice path cannot absorb -- the edit escapes to the root, a
+defensive invariant trips, an injected fault fires -- degrades to a
+verified full recompute; it never raises.
 Invalid deltas (statically malformed, or leaving the graph in violation
 of Definition 1) raise :class:`~repro.incremental.delta.DeltaValidationError`
 with the graph rolled back exactly.
@@ -38,7 +40,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.cfg.graph import CFG, NodeId
 from repro.cfg.validate import check_cfg, validate_cfg
-from repro.config import AnalysisConfig
+from repro.config import DEFAULT_CONFIG, AnalysisConfig
 from repro.core.cycle_equiv import cycle_equivalence_of_cfg
 from repro.core.pst import build_pst
 from repro.incremental.compare import diff_artifacts
@@ -54,13 +56,13 @@ from repro.incremental.delta import (
     undo_applied,
 )
 from repro.incremental.splice import locate_region, splice_region
-from repro.kernel.session import AnalysisSession
+from repro.kernel.session import session_for
+from repro.obs import observer as _obs
 
-#: Artifacts the splice path maintains; everything else is dropped eagerly
-#: after a structural edit (per-key stamps would catch them lazily anyway,
-#: but dropping releases the memory of superseded dominator maps etc.).
-_MAINTAINED = ("equiv", "pst")
-_DERIVED = ("dfs", "dom", "pdom", "cr")
+#: Artifacts the splice path does not maintain, dropped eagerly after a
+#: structural edit (per-key stamps would catch them lazily anyway, but
+#: dropping releases the memory of superseded dominator maps etc.).
+_DERIVED = ("dom", "pdom", "cr")
 
 
 @dataclass
@@ -85,19 +87,18 @@ class EditStats:
 class EditSession:
     """Atomic, validated edits over one CFG with maintained analyses.
 
-    ``config`` follows the standard :class:`~repro.config.AnalysisConfig`
-    surface (``incremental``, ``verify_incremental_rate``, ``observer``);
-    with no config at all, ``incremental`` defaults *on* -- an edit session
-    exists to maintain, not recompute.
+    ``config`` is the standard :class:`~repro.config.AnalysisConfig`; the
+    session reads ``verify_incremental_rate`` and installs ``observer``
+    ambiently around every :meth:`apply` and :meth:`undo`.  The maintained
+    artifacts are stored in ``session_for(cfg)``, the graph's one
+    :class:`~repro.kernel.session.AnalysisSession`.
     """
 
     def __init__(self, cfg: CFG, config: Optional[AnalysisConfig] = None):
-        if config is None:
-            config = AnalysisConfig(incremental=True)
-        self.config = config
+        self.config = config if config is not None else DEFAULT_CONFIG
         self.cfg = cfg
         validate_cfg(cfg)
-        self.session = AnalysisSession(cfg, observer=config.observer)
+        self.session = session_for(cfg)
         self.stats = EditStats()
         self.equiv = None
         self.pst = None
@@ -119,24 +120,25 @@ class EditSession:
         analyses restored exactly -- when the delta is malformed or its
         result violates Definition 1.
         """
-        try:
-            if isinstance(delta, dict):
-                delta = delta_from_json(delta)
-            applied = apply_delta_to_cfg(self.cfg, delta)
-        except DeltaValidationError:
-            # Statically rejected: nothing was mutated, just count it.
-            self.stats.rejected += 1
-            raise
-        try:
-            self._maintain(applied)
-        except DeltaValidationError:
-            undo_applied(self.cfg, applied)
-            # The maintained artifacts still describe the restored graph;
-            # restamp them so the rejection costs nothing downstream.
-            self.session.put_artifact("equiv", self.equiv)
-            self.session.put_artifact("pst", self.pst)
-            self.stats.rejected += 1
-            raise
+        with _obs.observe(self.config.observer):
+            try:
+                if isinstance(delta, dict):
+                    delta = delta_from_json(delta)
+                applied = apply_delta_to_cfg(self.cfg, delta)
+            except DeltaValidationError:
+                # Statically rejected: nothing was mutated, just count it.
+                self.stats.rejected += 1
+                raise
+            try:
+                self._maintain(applied)
+            except DeltaValidationError:
+                undo_applied(self.cfg, applied)
+                # The maintained artifacts still describe the restored graph;
+                # restamp them so the rejection costs nothing downstream.
+                self.session.put_artifact("equiv", self.equiv)
+                self.session.put_artifact("pst", self.pst)
+                self.stats.rejected += 1
+                raise
         self.stats.deltas_applied += 1
         self._log.append(applied)
         return applied
@@ -153,7 +155,8 @@ class EditSession:
         applied = self._log.pop()
         undo_applied(self.cfg, applied)
         self.stats.undos += 1
-        self._maintain(applied.inverse_view())
+        with _obs.observe(self.config.observer):
+            self._maintain(applied.inverse_view())
         return applied.delta
 
     def add_edge(self, source: NodeId, target: NodeId, label=None) -> AppliedDelta:
@@ -173,7 +176,7 @@ class EditSession:
         return len(self._log)
 
     # ------------------------------------------------------------------
-    # analyses (delegated to the wrapped AnalysisSession)
+    # analyses (delegated to the graph's AnalysisSession)
     # ------------------------------------------------------------------
     def dominators(self):
         return self.session.dominators()
@@ -204,17 +207,10 @@ class EditSession:
     # maintenance
     # ------------------------------------------------------------------
     def _maintain(self, applied: AppliedDelta) -> None:
-        if not self.config.incremental:
-            self._full(validate=True)
-            self.stats.full_recomputes += 1
-            self._rebuild_dataflow()
-            return
         region = locate_region(self.pst, applied.touched_nodes)
         if region is None:
             self.stats.region_escapes += 1
-            self._full(validate=True)
-            self.stats.full_recomputes += 1
-            self._rebuild_dataflow()
+            self._recompute()
             return
         # A splice costs a constant factor more per node than the scratch
         # pipeline (regional copy, subtree conversion, canonical surgery),
@@ -224,9 +220,7 @@ class EditSession:
         # cost itself.
         if region.size() > max(32, self.cfg.num_nodes // 4):
             self.stats.oversize_regions += 1
-            self._full(validate=True)
-            self.stats.full_recomputes += 1
-            self._rebuild_dataflow()
+            self._recompute()
             return
         try:
             outcome = splice_region(
@@ -244,9 +238,7 @@ class EditSession:
             # RegionEscape, a tripped invariant, an injected fault: the
             # verified-fallback ladder -- degrade, never raise.
             self.stats.splice_fallbacks += 1
-            self._full(validate=True)
-            self.stats.full_recomputes += 1
-            self._rebuild_dataflow()
+            self._recompute()
             return
         self.stats.splices += 1
         class_of = self.equiv.class_of
@@ -267,6 +259,12 @@ class EditSession:
                 engine.rebuild(self.pst)
         self._maybe_verify()
 
+    def _recompute(self) -> None:
+        """The full-recompute rung of the fallback ladder."""
+        self._full(validate=True)
+        self.stats.full_recomputes += 1
+        self._rebuild_dataflow()
+
     def _full(self, validate: bool) -> None:
         """Recompute everything from scratch (bootstrap and fallback path)."""
         if validate:
@@ -277,8 +275,11 @@ class EditSession:
                     problems=problems,
                 )
         equiv = cycle_equivalence_of_cfg(self.cfg, validate=False)
+        self._adopt(equiv, build_pst(self.cfg, equiv))
+
+    def _adopt(self, equiv, pst) -> None:
+        """Make scratch-computed ``equiv``/``pst`` the maintained artifacts."""
         class_of = equiv.class_of  # materialize before any later mutation
-        pst = build_pst(self.cfg, equiv)
         self.equiv = equiv
         self.pst = pst
         self._next_class_id = max(class_of.values(), default=0) + 1
@@ -318,17 +319,7 @@ class EditSession:
         # Adopt the scratch truth; count, never raise.
         self.stats.verify_mismatches += 1
         self.last_verify_detail = detail
-        scratch_equiv.class_of  # materialize
-        self.equiv = scratch_equiv
-        self.pst = scratch_pst
-        self._next_class_id = max(scratch_equiv.class_of.values(), default=0) + 1
-        self._next_region_id = (
-            max((r.region_id for r in scratch_pst.canonical_regions()), default=0)
-            + 1
-        )
-        self.session.invalidate()
-        self.session.put_artifact("equiv", scratch_equiv)
-        self.session.put_artifact("pst", scratch_pst)
+        self._adopt(scratch_equiv, scratch_pst)
         self._rebuild_dataflow()
 
 

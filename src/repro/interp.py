@@ -15,21 +15,29 @@ on every actual execution.
 
 Semantics: values are 64-bit signed integers with wraparound (random
 programs love ``x = x * x`` inside loops; unbounded bignums would make
-execution cost explode); variables read before assignment are 0; ``/`` and
-``%`` are floor division/modulo with ``x/0 == x%0 == 0``; comparisons and
-logical operators yield 0/1; calls are a fixed deterministic pure function
-of the callee name and arguments (there are no user-defined call targets
-in MiniLang bodies).  :func:`apply_op` is the single definition of these
-semantics -- the constant-propagation folder delegates to it, which is what
-makes the analysis-soundness tests meaningful.  Execution is bounded by
-``fuel`` (statements executed); exceeding it raises :class:`FuelExhausted`
-so tests can skip diverging random programs.
+execution cost explode); ``/`` and ``%`` are floor division/modulo with
+``x/0 == x%0 == 0``; comparisons and logical operators yield 0/1; calls
+are a fixed deterministic pure function of the callee name and arguments
+(there are no user-defined call targets in MiniLang bodies).
+:func:`apply_op` is the single definition of these semantics -- the
+constant-propagation folder delegates to it, which is what makes the
+analysis-soundness tests meaningful.  Execution is bounded by ``fuel``
+(statements executed); exceeding it raises :class:`FuelExhausted` so tests
+can skip diverging random programs.
+
+Reading a variable that no assignment on the executed path has defined
+(or an SSA ``undef`` initializer) yields an *undefined* value.  The
+interpreters read it as 0, but only as a convenience: constant
+propagation's optimistic UNDEF meet may assume any value there.  So
+:func:`run_cfg` reports which variables currently hold a value derived
+from such a read (:attr:`Trace.undefined`), and no claim about those
+variables is binding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.cfg.graph import Edge, NodeId
 from repro.ir import Assign, Branch, Copy, LoweredProcedure, Phi, Ret
@@ -55,6 +63,9 @@ class Trace:
     # observable that SSA conversion must preserve exactly.
     assignments: Dict[str, List[int]] = field(default_factory=dict)
     steps: int = 0
+    #: Variables whose current value derives from a read of an undefined
+    #: value (maintained by :func:`run_cfg` only).
+    undefined: Set[str] = field(default_factory=set)
 
     def record(self, name: str, value: int) -> None:
         base = name.split("#", 1)[0]
@@ -341,36 +352,49 @@ def _run_for_from_current(statement: ast.For, env, trace, fuel) -> None:
 def run_cfg(proc: LoweredProcedure, args: List[int], fuel: int = 100_000, on_block=None) -> Trace:
     """Execute a lowered procedure (φ-functions supported).
 
-    ``on_block(node, env)``, if given, is invoked at every block entry
-    (before the block's statements run) -- the hook dataflow-soundness
+    ``on_block(node, env, undefined)``, if given, is invoked at every block
+    entry (before the block's statements run) with the live environment and
+    the live :attr:`Trace.undefined` set -- the hook dataflow-soundness
     tests use to compare analysis claims against live environments.
     """
     env: Dict[str, int] = {}
     trace = Trace(returned=None, env=env)
+    undefined = trace.undefined
     params = list(args)
     node: NodeId = proc.cfg.start
     entered_by: Optional[Edge] = None
 
     while True:
         if on_block is not None:
-            on_block(node, env)
+            on_block(node, env, undefined)
         statements = proc.blocks.get(node, [])
         # φs first, evaluated simultaneously against the entering edge
         phis = [s for s in statements if isinstance(s, Phi)]
         if phis:
             values = {}
+            derived = set()
             for phi in phis:
                 if entered_by not in phi.args:
                     raise MiniLangRuntimeError(
                         f"φ {phi.target} has no argument for entering edge {entered_by!r}"
                     )
-                values[phi.target] = env.get(phi.args[entered_by], 0)
+                source = phi.args[entered_by]
+                values[phi.target] = env.get(source, 0)
+                if source not in env or source in undefined:
+                    derived.add(phi.target)
             env.update(values)
+            undefined.difference_update(values)
+            undefined.update(derived)
         selector: Optional[int] = None
         for stmt in statements:
             if isinstance(stmt, Phi):
                 continue
             _tick(trace, fuel)
+            if isinstance(stmt, (Copy, Assign)):
+                if _reads_undefined(stmt, env, undefined):
+                    undefined.add(stmt.target)
+                else:
+                    undefined.discard(stmt.target)
             if isinstance(stmt, Copy):
                 env[stmt.target] = env.get(stmt.source, 0)  # transparent move
             elif isinstance(stmt, Assign):
@@ -400,6 +424,13 @@ def _is_int(text: str) -> bool:
         return True
     except (TypeError, ValueError):
         return False
+
+
+def _reads_undefined(stmt, env: Dict[str, int], undefined: Set[str]) -> bool:
+    """Whether the value ``stmt`` assigns derives from an undefined value."""
+    if isinstance(stmt, Assign) and stmt.expr is None and stmt.text == "undef":
+        return True
+    return any(use not in env or use in undefined for use in stmt.uses)
 
 
 def _eval_assign(stmt: Assign, env: Dict[str, int], params: List[int]) -> int:

@@ -23,44 +23,6 @@ from typing import List, Optional
 from repro.kernel.csr import FrozenCFG
 
 
-def kernel_dfs_edge_order(frozen: FrozenCFG, root: Optional[int] = None) -> List[int]:
-    """Every edge index reachable from ``root``, in DFS visit order.
-
-    Array mirror of :func:`repro.cfg.traversal.dfs_edges`: an edge is
-    visited when its source is expanded, each edge exactly once, rows in
-    adjacency order.
-    """
-    root = frozen.start if root is None else root
-    if root < 0:
-        return []
-    succ_off = frozen.succ_off
-    succ_edge = frozen.succ_edge
-    edge_dst = frozen.edge_dst
-    seen = bytearray(frozen.num_nodes)
-    seen[root] = 1
-    visit: List[int] = []
-    stack = [[root, succ_off[root], succ_off[root + 1]]]
-    while stack:
-        frame = stack[-1]
-        ptr = frame[1]
-        end_ptr = frame[2]
-        advanced = False
-        while ptr < end_ptr:
-            e = succ_edge[ptr]
-            ptr += 1
-            visit.append(e)
-            t = edge_dst[e]
-            if not seen[t]:
-                seen[t] = 1
-                frame[1] = ptr
-                stack.append([t, succ_off[t], succ_off[t + 1]])
-                advanced = True
-                break
-        if not advanced:
-            stack.pop()
-    return visit
-
-
 def kernel_build_pst(frozen: FrozenCFG, classes: List[int]):
     """Build the PST from a snapshot and positional cycle-equivalence ids.
 

@@ -53,7 +53,7 @@ class BatchSerialFallback(UserWarning):
     """``run_batch`` ran serially despite ``workers > 1``.
 
     Carries the machine-readable ``reasons`` tuple so callers can branch on
-    *why* (custom engine, fault plan, custom sleep/clock) instead of
+    *why* (fault plan, custom sleep/clock) instead of
     parsing the message.  Observers are deliberately absent from the list:
     since the cross-process shard protocol they parallelize fine.
     """
@@ -74,16 +74,14 @@ def serial_fallback_reasons(
 ) -> List[str]:
     """Why this batch cannot use the process pool (empty = it can).
 
-    Custom engines and sleep/clock callables are arbitrary closures and a
-    fault plan's injected state must stay observable in-process; none of
-    them survive pickling to a worker.  Observers and profiling are *not*
+    Sleep/clock callables are arbitrary closures and a fault plan's
+    injected state must stay observable in-process; none of them survive
+    pickling to a worker.  Observers and profiling are *not*
     reasons: workers record into fresh shards rebuilt from
     :meth:`~repro.obs.observer.Observer.spec` and the parent merges the
     snapshots back.
     """
     reasons: List[str] = []
-    if config.engine is not None:
-        reasons.append("custom engine callable")
     if config.faults is not None:
         reasons.append("fault injection plan")
     if sleep is not time.sleep:
@@ -279,7 +277,7 @@ def run_batch(
     merge bucket-by-bucket -- so a parallel run yields the same merged
     trace and totals a serial run would.
 
-    Custom ``engine``/``sleep``/``clock`` callables and fault plans remain
+    Custom ``sleep``/``clock`` callables and fault plans remain
     serial-only (arbitrary closures and in-process fault state cannot
     cross to a worker); supplying any of them with ``workers > 1`` emits a
     :class:`BatchSerialFallback` warning naming the reasons and runs the
@@ -530,8 +528,7 @@ def _worker_run_item(
 
     Must stay module-level (pickled by reference).  The config is picklable
     here by construction -- _run_parallel strips the observer (the spec
-    travels instead) and run_batch forces the serial path for fault plans
-    and custom engines.  Returns the fields of a :class:`BatchItemResult`
+    travels instead) and run_batch forces the serial path for fault plans.  Returns the fields of a :class:`BatchItemResult`
     as a dict -- plus, when a spec was supplied, the ``"observer"`` shard
     snapshot recorded around this one item -- so the parent never unpickles
     custom classes from a possibly-wedged worker.
@@ -567,7 +564,6 @@ def _run_item(
     sleep: Callable[[float], None],
     clock: Callable[[], float],
 ) -> BatchItemResult:
-    engine = config.engine
     item_started = clock()
     pause = config.backoff
     last_error: Optional[str] = None
@@ -580,14 +576,7 @@ def _run_item(
             sleep(pause)
             pause *= config.backoff_factor
         try:
-            cfg = thunk()
-            if engine is None:
-                result = run_analysis(cfg, config=config)
-            else:
-                # Custom engines keep the historical call convention.
-                result = engine(
-                    cfg, deadline=config.deadline, step_budget=config.step_budget
-                )
+            result = run_analysis(thunk(), config=config)
         except Exception as error:  # isolation: nothing escapes the item
             status = "error"
             last_error = f"{type(error).__name__}: {error}"

@@ -49,11 +49,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cfg.graph import CFG, Edge, NodeId
 from repro.cfg.validate import check_cfg
 from repro.controldep.regions_cfs import control_regions_cfs
-from repro.core.cycle_equiv import CycleEquivalence
+from repro.controldep.regions_fast import control_regions
+from repro.core.cycle_equiv import CycleEquivalence, cycle_equivalence_of_cfg
 from repro.core.cycle_equiv_slow import cycle_equivalence_bracket_sets
 from repro.core.pst import ProgramStructureTree, build_pst
 from repro.dominance.iterative import edge_dominance, immediate_dominators
-from repro.kernel.session import AnalysisSession
+from repro.dominance.lengauer_tarjan import lengauer_tarjan
 from repro.config import (
     ALL_ANALYSES,
     DEFAULT_CONFIG,
@@ -79,7 +80,7 @@ class Attempt:
     detail: str = ""
     elapsed: float = 0.0
     #: Per-phase timing marks (see :meth:`~repro.resilience.guards.Ticker.mark`),
-    #: populated only when the config asked for profiling.
+    #: populated only when the ambient observer asked for profiling.
     profile: Optional[List[dict]] = None
 
     def describe(self) -> str:
@@ -152,8 +153,9 @@ def run_analysis(
     attempts run before falling back, which is what recovers *transient*
     corruption.  ``config.observer`` is installed ambiently for the call so
     one trace covers fast path, retries, and slow fallback alike;
-    ``config.faults`` is injected for the call's duration;
-    ``config.profile`` arms per-phase timers on every attempt's ticker.
+    ``config.faults`` is injected for the call's duration.  An observer
+    built with ``profile=True`` arms per-phase timers on every attempt's
+    ticker.
 
     ``analyses`` overrides ``config.analyses`` when given (default: all
     stages).
@@ -284,17 +286,13 @@ def _run_ladders(
     if vspan is not None:
         vspan.finish()
 
-    # One private session per engine call: fast paths share the frozen
-    # snapshot and each artifact is computed once across stages, but the
-    # ladder invalidates it before every retry/fallback so a corrupted
-    # artifact is never reused (fault injection sees fresh runs).
-    session = AnalysisSession(cfg)
-    stages = _build_stages(cfg, session, config.full_check_limit)
+    # Every attempt calls the public entry points, which recompute on each
+    # call: a corrupted artifact is never reused (fault injection sees
+    # fresh runs).  Only the graph's CSR snapshot is shared across stages.
+    stages = _build_stages(cfg, config.full_check_limit)
     results: Dict[str, object] = {}
     aborted = False
-    # Profiling is armed by the config, or by an ambient observer that asked
-    # for it (Observer(profile=True)) without threading a config through.
-    profile_on = config.profile or (o is not None and o.profile)
+    profile_on = o is not None and o.profile
 
     for name in analyses:
         if aborted:
@@ -309,8 +307,6 @@ def _run_ladders(
         stage_span = None if o is None else o.span(f"stage:{name}")
         stage_ok = False
         for path, compute, cross_check in ladder:
-            if path != "fast":
-                session.invalidate()
             attempt_started = clock()
             remaining = None if deadline_at is None else deadline_at - attempt_started
             if remaining is not None and remaining <= 0:
@@ -405,10 +401,10 @@ def _run_ladders(
 # stage definitions: (fast, slow, checker) triples
 # ----------------------------------------------------------------------
 
-def _build_stages(cfg: CFG, session: "AnalysisSession", full_check_limit: int):
+def _build_stages(cfg: CFG, full_check_limit: int):
     def pst_fast(ticker):
-        equiv = session.cycle_equivalence(ticker, validate=False)
-        return equiv, session.pst(ticker)
+        equiv = cycle_equivalence_of_cfg(cfg, validate=False, ticker=ticker)
+        return equiv, build_pst(cfg, equiv, ticker=ticker)
 
     def pst_slow(ticker):
         equiv = _slow_cycle_equivalence(cfg)
@@ -422,7 +418,7 @@ def _build_stages(cfg: CFG, session: "AnalysisSession", full_check_limit: int):
             _check_equiv_against_reference(cfg, equiv)
 
     def dom_fast(ticker):
-        return session.dominators(ticker)
+        return lengauer_tarjan(cfg, ticker=ticker)
 
     def dom_slow(ticker):
         return immediate_dominators(cfg, ticker=ticker)
@@ -442,7 +438,7 @@ def _build_stages(cfg: CFG, session: "AnalysisSession", full_check_limit: int):
             )
 
     def cr_fast(ticker):
-        return session.control_regions(ticker, validate=False)
+        return control_regions(cfg, validate=False, ticker=ticker)
 
     def cr_slow(ticker):
         return control_regions_cfs(cfg)

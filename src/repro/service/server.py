@@ -16,10 +16,10 @@ every request passes, in order, through
    ladder's middle rung, visible as ``"mode": "degraded"`` in responses;
 4. the per-client session cache -- a
    :class:`~repro.service.cache.ShardedSessionCache` keyed by a stable
-   graph key, holding the CFG, its live edit session, and cached
-   responses, byte-bounded by ``ServiceConfig.max_cache_bytes``.  This is
-   the server's one memory bound: each graph's snapshot and analysis
-   session live on the graph and are freed with it.
+   graph key, holding the CFG, its live edit session, and version-stamped
+   cached responses, byte-bounded by ``ServiceConfig.max_cache_bytes``.
+   This is the server's one memory bound: each graph's snapshot and
+   analysis session live on the graph and are freed with it.
 
 Endpoints:
 
@@ -27,8 +27,9 @@ Endpoints:
     Body: ``{"client": str?, "synth": {"seed", "size", "extra_edges"?}? |
     "source": str? | "cfg": {"edges", "start"?, "end"?}?, "analyses": [...]?,
     "deadline": seconds?}``.  Exactly one graph spelling is required;
-    ``size`` and ``extra_edges`` are integers in [0, 100000], ``deadline``
-    is finite and positive.
+    ``size`` and ``extra_edges`` are integers in [0, 100000], ``cfg`` edge
+    endpoints, ``start`` and ``end`` are strings, ``deadline`` is finite
+    and positive.
 ``POST /run_batch``
     ``{"items": [<run_analysis body>, ...]}`` (capped at
     ``max_batch_items``); responses are per-item, admission is per-item.
@@ -39,9 +40,10 @@ Endpoints:
     :class:`~repro.incremental.EditSession` for that graph, maintaining
     the PST incrementally; ``"key"`` addresses a graph cached by a prior
     request, a graph spelling creates the entry.  Deltas apply in order;
-    the first invalid one stops the batch with 422 (its own edit rolled
-    back exactly, earlier deltas remain applied).  Admission and drain
-    rules are identical to ``/run_analysis``.
+    the first invalid one (node ids must be strings or integers,
+    ``preds``/``succs`` lists) stops the batch with 422 (its own edit
+    rolled back exactly, earlier deltas remain applied).  Admission and
+    drain rules are identical to ``/run_analysis``.
 ``GET /metrics``
     Prometheus text exposition of the server's registry.
 ``GET /healthz``
@@ -180,6 +182,8 @@ def _cfg_from_request(body: Dict[str, Any]) -> Tuple[str, Any]:
         edges.append(tuple(pair))
     start = spec.get("start", "start")
     end = spec.get("end", "end")
+    if not isinstance(start, str) or not isinstance(end, str):
+        raise _BadRequest("'cfg' start and end must be strings")
     from repro.cfg.builder import cfg_from_edges
 
     try:
@@ -228,17 +232,21 @@ def _analyses_from_request(body: Dict[str, Any]) -> Tuple[str, ...]:
 class _ClientEntry:
     """One cached graph of one client: CFG + prior responses.
 
-    ``edit`` is the client's live :class:`~repro.incremental.EditSession`
-    for this graph, created lazily by the first ``/apply_delta``; ``lock``
-    serializes edits and engine runs against each other (each request
-    thread edits the shared graph in place), and guards ``responses``.
+    ``responses`` memoizes ``/run_analysis`` bodies per analyses tuple,
+    each stamped with the ``cfg.version`` its engine run saw; a memo is
+    served only while its stamp equals the graph's current version, so an
+    edit makes it stale without anyone clearing it.  ``edit`` is the
+    client's live :class:`~repro.incremental.EditSession` for this graph,
+    created lazily by the first ``/apply_delta``; ``lock`` serializes edits
+    and engine runs against each other (each request thread edits the
+    shared graph in place), and guards ``responses``.
     """
 
     __slots__ = ("cfg", "responses", "edit", "lock")
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.responses: Dict[Tuple[str, ...], Dict[str, Any]] = {}
+        self.responses: Dict[Tuple[str, ...], Tuple[int, Dict[str, Any]]] = {}
         self.edit = None
         self.lock = threading.Lock()
 
@@ -462,26 +470,24 @@ class AnalysisServer:
         if entry is None:
             entry = _ClientEntry(cfg)
             shard.put(graph_key, entry, cfg_cost_bytes(cfg))
-        response = entry.responses.get(analyses)
-        if response is not None:
-            cached = True
-            result_body = dict(response)
-        else:
-            overrides: Dict[str, Any] = {"deadline": deadline, "analyses": analyses}
-            if mode == "degraded":
-                overrides.update(_DEGRADED_OVERRIDES)
-                overrides["deadline"] = min(
-                    deadline, self.config.degraded_deadline
+        overrides: Dict[str, Any] = {"deadline": deadline, "analyses": analyses}
+        if mode == "degraded":
+            overrides.update(_DEGRADED_OVERRIDES)
+            overrides["deadline"] = min(deadline, self.config.degraded_deadline)
+        # entry.cfg, not the request's spelling: /apply_delta may have
+        # edited the client's live graph since it was first cached.  The
+        # entry lock keeps the engine from racing a concurrent edit, and the
+        # memo's version stamp keeps an answer from outliving its graph.
+        with entry.lock:
+            version = entry.cfg.version
+            memo = entry.responses.get(analyses)
+            if memo is not None and memo[0] == version:
+                cached = True
+                result_body = dict(memo[1])
+            else:
+                result = run_analysis(
+                    entry.cfg, config=self.config.analysis.replace(**overrides)
                 )
-            engine_config = self.config.analysis.replace(**overrides)
-            # entry.cfg, not the request's spelling: /apply_delta may have
-            # edited the client's live graph since it was first cached.
-            # The entry lock keeps the engine from racing a concurrent edit.
-            # The memo is stored before the lock is released: an edit that
-            # landed in between would clear the memos before this answer,
-            # now stale, was stored and then served as cached.
-            with entry.lock:
-                result = run_analysis(entry.cfg, config=engine_config)
                 result_body = {
                     "ok": result.ok,
                     "error": result.error,
@@ -502,7 +508,7 @@ class AnalysisServer:
                     ],
                 }
                 if result.ok:
-                    entry.responses[analyses] = dict(result_body)
+                    entry.responses[analyses] = (version, dict(result_body))
         elapsed = time.perf_counter() - started
         result_body.update(
             {
@@ -590,9 +596,7 @@ class AnalysisServer:
 
         with entry.lock:
             if entry.edit is None:
-                entry.edit = EditSession(
-                    entry.cfg, self.config.analysis.replace(incremental=True)
-                )
+                entry.edit = EditSession(entry.cfg, self.config.analysis)
             edit = entry.edit
             applied = 0
             failure: Optional[Dict[str, Any]] = None
@@ -606,10 +610,6 @@ class AnalysisServer:
                     failure = {"index": index, "message": str(error)}
                     break
                 applied += 1
-            if applied:
-                # The graph changed: every memoized /run_analysis response
-                # for it is now stale.
-                entry.responses.clear()
             stats = edit.stats.as_dict()
             graph = {"nodes": entry.cfg.num_nodes, "edges": entry.cfg.num_edges}
             regions = len(edit.pst.canonical_regions())

@@ -142,7 +142,7 @@ def test_dominators_follow_the_edited_graph():
 # ----------------------------------------------------------------------
 
 def test_verify_rate_one_checks_every_splice_and_finds_no_mismatch():
-    config = AnalysisConfig(incremental=True, verify_incremental_rate=1.0)
+    config = AnalysisConfig(verify_incremental_rate=1.0)
     session = EditSession(diamond(), config)
     session.add_edge("t", "t")
     session.undo()
@@ -156,21 +156,54 @@ def test_verify_rate_one_checks_every_splice_and_finds_no_mismatch():
 # config surface
 # ----------------------------------------------------------------------
 
-def test_incremental_defaults_on_without_a_config():
-    session = EditSession(diamond())
-    assert session.config.incremental is True
-
-
-def test_non_incremental_config_recomputes_every_delta():
-    config = AnalysisConfig(incremental=False)
-    session = EditSession(diamond(), config)
-    session.add_edge("t", "t")
-    session.undo()
-    assert session.stats.splices == 0
-    assert session.stats.full_recomputes == 2
-    assert_matches_scratch(session)
-
-
 def test_verify_rate_is_validated():
     with pytest.raises(ValueError, match="verify_incremental_rate"):
         AnalysisConfig(verify_incremental_rate=1.5)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [AnalysisConfig(verify_incremental_rate=1.0), AnalysisConfig(deadline=1.0)],
+)
+def test_any_config_splices_a_local_edit(config):
+    session = EditSession(diamond(), config)
+    session.add_edge("t", "t")
+    assert session.stats.splices == 1
+    assert session.stats.full_recomputes == 0
+    assert session.stats.verify_checks == (1 if config.verify_incremental_rate else 0)
+    assert_matches_scratch(session)
+
+
+def test_the_config_observer_sees_the_splice_kernels():
+    from repro.obs.observer import Observer
+
+    observer = Observer(trace=False)
+    session = EditSession(diamond(), AnalysisConfig(observer=observer))
+
+    def count():
+        return observer.metrics.count_of(
+            "dispatch", component="cycle_equiv", impl="kernel"
+        )
+
+    before = count()
+    session.add_edge("t", "t")
+    assert session.stats.splices == 1
+    assert count() == before + 1
+    session.undo()
+    assert count() == before + 2
+
+
+# ----------------------------------------------------------------------
+# one session per graph
+# ----------------------------------------------------------------------
+
+def test_the_graph_session_serves_the_spliced_pst():
+    from repro.kernel.session import session_for
+
+    cfg = diamond()
+    session = EditSession(cfg)
+    assert session.session is session_for(cfg)
+    session.add_edge("t", "t")
+    assert session.stats.splices == 1
+    assert session_for(cfg).pst() is session.pst
+    assert session_for(cfg).cycle_equivalence() is session.equiv

@@ -45,13 +45,6 @@ def test_pst_computed_once_then_served_from_cache():
     assert session.cache_info()["hits"] == 1
 
 
-def test_validate_spellings_share_one_equiv_slot():
-    session = AnalysisSession(diamond())
-    equiv = session.cycle_equivalence(validate=True)
-    assert session.cycle_equivalence(validate=False) is equiv
-    assert session.cache_info() == {"hits": 1, "misses": 1, "size": 1, "stale": 0}
-
-
 def test_mutation_invalidates_transparently():
     cfg = diamond()
     session = AnalysisSession(cfg)

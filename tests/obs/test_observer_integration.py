@@ -10,7 +10,7 @@ import pytest
 
 from repro.cfg.builder import cfg_from_edges
 from repro.config import AnalysisConfig
-from repro.obs.observer import Observer
+from repro.obs.observer import Observer, observe
 from repro.obs.schema import validate_trace
 from repro.obs.trace import read_jsonl
 from repro.resilience import faults
@@ -140,10 +140,22 @@ def test_session_and_frozen_cache_counters_fire():
     from repro.kernel.session import session_for
 
     observer = Observer(trace=False)
-    session = session_for(demo_cfg(), config=AnalysisConfig(observer=observer))
-    session.pst()
-    session.pst()  # memoized: second call is a cache hit
+    session = session_for(demo_cfg())
+    with observe(observer):
+        session.pst()
+        session.pst()  # memoized: second call is a cache hit
     hits = observer.metrics.count_of("session.cache", artifact="pst", result="hit")
     misses = observer.metrics.count_of("session.cache", artifact="pst", result="miss")
     assert misses == 1.0
     assert hits >= 1.0
+
+
+def test_engine_runs_keep_no_session_cache():
+    """Each attempt recomputes through the public entry points, so an
+    engine run adds no session.cache series, faulted or clean."""
+    observer = Observer(trace=False)
+    run_analysis(demo_cfg(), config=AnalysisConfig(observer=observer))
+    plan = FaultPlan(sites=["cycle-equiv/skip-cap"], max_fires=1)
+    run_analysis(demo_cfg(), config=AnalysisConfig(observer=observer, faults=plan))
+    assert observer.metrics.counts_matching("session.cache") == {}
+    assert observer.metrics.counts_matching("dispatch")

@@ -92,17 +92,9 @@ def test_serial_fallback_warning_names_every_reason():
     from repro.config import AnalysisConfig
     from repro.resilience.batch import BatchSerialFallback, serial_fallback_reasons
 
-    def engine(cfg, deadline=None, step_budget=None):
-        from repro.resilience.engine import run_analysis
-
-        return run_analysis(cfg)
-
-    config = AnalysisConfig(
-        workers=2, engine=engine, faults=FaultPlan(sites=[])
-    )
+    config = AnalysisConfig(workers=2, faults=FaultPlan(sites=[]))
     sleep = RecordingSleep()
     assert serial_fallback_reasons(config, sleep=sleep) == [
-        "custom engine callable",
         "fault injection plan",
         "custom sleep callable",
     ]
@@ -112,7 +104,6 @@ def test_serial_fallback_warning_names_every_reason():
         w.message for w in caught if isinstance(w.message, BatchSerialFallback)
     ]
     assert warning.reasons == (
-        "custom engine callable",
         "fault injection plan",
         "custom sleep callable",
     )

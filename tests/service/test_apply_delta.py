@@ -256,3 +256,118 @@ def test_an_edit_after_the_engine_run_leaves_no_stale_memo(server, monkeypatch):
     assert status == 200
     assert second["graph"] == {"nodes": 5, "edges": 6}
     assert second["cached"] is False
+
+
+# ----------------------------------------------------------------------
+# through the handler methods: version-stamped memos, delta validation
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def handlers():
+    return AnalysisServer(ServiceConfig(rate=10_000.0, burst=1_000))
+
+
+SYNTH = {"client": "me", "synth": {"seed": 2, "size": 30}}
+
+
+def test_a_batch_rejected_after_an_applied_delta_leaves_no_stale_memo(handlers):
+    status, first = handlers.handle_run_analysis(dict(SYNTH))
+    assert status == 200
+    status, body = handlers.handle_apply_delta(
+        dict(
+            SYNTH,
+            deltas=[
+                {"op": "add_edge", "source": "n1", "target": "n2"},
+                {"op": "add_edge", "source": ["x"], "target": "n2"},
+            ],
+        )
+    )
+    assert status == 422
+    assert body["error"] == "invalid_delta"
+    assert (body["index"], body["applied"]) == (1, 1)
+
+    status, after = handlers.handle_run_analysis(dict(SYNTH))
+    assert status == 200
+    assert after["cached"] is False
+    assert after["graph"]["edges"] == first["graph"]["edges"] + 1
+
+
+def test_an_edit_that_crashes_mid_batch_still_retires_the_memo(handlers, monkeypatch):
+    """A memo is served only while its version stamp matches the graph, so
+    no code path between an edit and the next analysis has to clear it."""
+    from repro.incremental import EditSession
+
+    status, first = handlers.handle_run_analysis(dict(SYNTH))
+    assert status == 200
+    real_apply = EditSession.apply
+    calls = []
+
+    def apply_then_crash(self, delta):
+        calls.append(delta)
+        if len(calls) > 1:
+            raise RuntimeError("worker crashed mid-batch")
+        return real_apply(self, delta)
+
+    monkeypatch.setattr(EditSession, "apply", apply_then_crash)
+    delta = {"op": "add_edge", "source": "n1", "target": "n2"}
+    with pytest.raises(RuntimeError):
+        handlers.handle_apply_delta(dict(SYNTH, deltas=[delta, delta]))
+
+    status, after = handlers.handle_run_analysis(dict(SYNTH))
+    assert after["cached"] is False
+    assert after["graph"]["edges"] == first["graph"]["edges"] + 1
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [
+        {"op": "add_edge", "source": ["x"], "target": "n2"},
+        {"op": "remove_edge", "source": "n1", "target": {"n": 2}},
+        {"op": "remove_node", "node": ["n1"]},
+        {"op": "add_node", "node": {"id": "q"}, "preds": ["n1"], "succs": ["n2"]},
+        {"op": "add_node", "node": "q", "preds": [["n1"]], "succs": ["n2"]},
+        {"op": "add_edge", "source": True, "target": "n2"},
+    ],
+)
+def test_a_non_scalar_node_id_is_a_422_naming_the_delta(handlers, delta):
+    status, body = handlers.handle_apply_delta(
+        dict(SYNTH, deltas=[{"op": "add_edge", "source": "n1", "target": "n2"}, delta])
+    )
+    assert status == 422
+    assert body["error"] == "invalid_delta"
+    assert (body["index"], body["applied"]) == (1, 1)
+    assert "node id" in body["message"]
+
+
+def test_preds_and_succs_must_be_lists(handlers):
+    # A string would be iterated character by character: "b" would pass
+    # for ["b"] on a graph with single-letter node names.
+    spelling = {
+        "client": "me",
+        "cfg": {"edges": [["start", "a"], ["a", "b"], ["b", "end"]]},
+    }
+    status, body = handlers.handle_apply_delta(
+        dict(
+            spelling,
+            deltas=[{"op": "add_node", "node": "c", "preds": ["a"], "succs": "b"}],
+        )
+    )
+    assert status == 422
+    assert body["applied"] == 0
+    assert "succs must be a list" in body["message"]
+
+
+@pytest.mark.parametrize("field", ["start", "end"])
+@pytest.mark.parametrize("value", [["start"], {"id": "start"}, 7])
+def test_a_non_string_cfg_start_or_end_is_a_400(handlers, field, value):
+    from repro.service.server import _BadRequest
+
+    spec = {"edges": [["start", "a"], ["a", "end"]], field: value}
+    for handle in (handlers.handle_run_analysis, handlers.handle_apply_delta):
+        body = {
+            "client": "me",
+            "cfg": spec,
+            "deltas": [{"op": "add_edge", "source": "a", "target": "a"}],
+        }
+        with pytest.raises(_BadRequest, match="start and end must be strings"):
+            handle(body)

@@ -1,7 +1,7 @@
 """Semantic validation: AST vs CFG execution, SSA preservation, constprop soundness."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow.constprop import ConstantPropagation, state_dict
@@ -177,12 +177,16 @@ def test_ssa_preserves_semantics(seed, size, args):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 8000), st.sampled_from([15, 40]), ARGS)
+@example(998, 40, [0, 0, 0])  # v9 = v3, and v3 is never assigned on the run
+@example(1489, 40, [0, 0, 0])  # v13 = v8, and v8 is never assigned on the run
 def test_constant_propagation_is_sound(seed, size, args):
     """Every constant the analysis claims holds on every actual execution.
 
-    Checked at every block entry of the run, for variables present in the
-    environment (a variable never assigned on the executed path contributed
-    UNDEF to the meet, so claims about it do not bind the 0-default).
+    Checked at every block entry of the run.  Claims about a variable that
+    holds no defined value are excused: one never assigned on the executed
+    path, or one whose value derives from reading such a variable (the
+    interpreter's ``Trace.undefined``).  The analysis's optimistic UNDEF
+    meet may assume any value for those.
     """
     procedure = random_procedure_ast(seed, target_statements=size)
     lowered = lower_procedure(procedure)
@@ -190,9 +194,14 @@ def test_constant_propagation_is_sound(seed, size, args):
     claims = {node: state_dict(solution.before[node]) for node in lowered.cfg.nodes}
     violations = []
 
-    def check(node, env):
+    def check(node, env, undefined):
         for var, value in claims[node].items():
-            if isinstance(value, int) and var in env and env[var] != value:
+            if (
+                isinstance(value, int)
+                and var in env
+                and var not in undefined
+                and env[var] != value
+            ):
                 violations.append((node, var, value, env[var]))
 
     try:
