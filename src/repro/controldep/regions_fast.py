@@ -12,8 +12,10 @@ Composing the two with the Figure 4 algorithm yields control regions in
 linear time -- previous algorithms were O(EN) (CFS90) or restricted to
 reducible graphs (Ball).  The paper notes an implementation that avoids
 materializing ``T(S)``; we build it explicitly for clarity (it is linear in
-size: ``2N`` nodes and ``N + E`` edges), and the benchmark suite shows the
-end-to-end computation still undercuts dominator computation.
+size: ``2N`` nodes and ``N + E`` edges).  The computation stays linear, but
+here it does not undercut dominator computation: at 4,783 nodes
+(``benchmarks/results/p2_control_regions.txt``) it takes 23.4 ms, 8.4x
+faster than the CFS90 refinement and 2.7x slower than Lengauer-Tarjan.
 """
 
 from __future__ import annotations

@@ -123,97 +123,6 @@ class IncrementalDataflow:
             self._resolve(region, entry, dirty, changed)
         return changed
 
-    def structural_update(
-        self,
-        new_regions: Iterable[SESERegion],
-        removed_region_ids: Iterable[int],
-        parent: SESERegion,
-        removed_nodes: Iterable[NodeId] = (),
-        problem: Optional[GenKillProblem] = None,
-    ) -> Set[NodeId]:
-        """Re-solve after a PST splice replaced one region's subtree.
-
-        ``new_regions`` (any order), ``removed_region_ids``, and ``parent``
-        come from a :class:`~repro.incremental.splice.SpliceOutcome`; the
-        engine's ``pst`` must be the already-spliced tree (the maintainer
-        mutates it in place, so object identity holds).  ``problem`` may
-        supply a rebuilt problem object -- required when the edit added or
-        removed statements -- under the same unchanged-universe contract as
-        :meth:`update`.  Returns the blocks whose values changed.
-        """
-        if problem is not None:
-            if problem.universe() != self.problem.universe():
-                raise ValueError(
-                    "incremental update requires an unchanged fact universe; "
-                    "rebuild the IncrementalDataflow engine instead"
-                )
-            self.problem = problem
-        self.last_summaries_recomputed = 0
-        self.last_regions_resolved = 0
-
-        for region_id in removed_region_ids:
-            self._summaries.pop(region_id, None)
-            self._entries.pop(region_id, None)
-        for node in removed_nodes:
-            self.before.pop(node, None)
-            self.after.pop(node, None)
-
-        fresh = list(new_regions)
-        for region in sorted(fresh, key=lambda r: -r.depth):
-            self._summaries[region.region_id] = self._summarize(region)
-            self.last_summaries_recomputed += 1
-
-        # The splice parent must re-resolve regardless of its own summary
-        # (its interior changed); ancestors only while summaries keep
-        # changing -- the same early stop as :meth:`update`'s phase 1.
-        dirty: Set[int] = {region.region_id for region in fresh}
-        top = parent
-        while True:
-            dirty.add(top.region_id)
-            if top.is_root:
-                break
-            new_summary = self._summarize(top)
-            self.last_summaries_recomputed += 1
-            if new_summary == self._summaries.get(top.region_id):
-                break
-            self._summaries[top.region_id] = new_summary
-            assert top.parent is not None
-            top = top.parent
-
-        # The dirty set is a chain of ancestors plus the spliced subtree,
-        # so ``top`` is the unique maximal dirty region.
-        entry = (
-            self.problem.boundary()
-            if top.is_root
-            else self._entries[top.region_id]
-        )
-        changed: Set[NodeId] = set()
-        self._resolve(top, entry, dirty, changed)
-        return changed
-
-    def rebuild(
-        self,
-        pst: Optional[ProgramStructureTree] = None,
-        problem: Optional[GenKillProblem] = None,
-    ) -> None:
-        """Re-initialize in place (object identity preserved) from scratch.
-
-        The escape hatch for structural edits the splice path could not
-        absorb: a new PST (built from ``self.cfg`` when not supplied) and
-        optionally a new problem replace all cached state.
-        """
-        if problem is not None:
-            self.problem = problem
-        self.pst = build_pst(self.cfg) if pst is None else pst
-        self._backward = self.problem.direction == BACKWARD
-        self._summaries.clear()
-        self._entries.clear()
-        self.before.clear()
-        self.after.clear()
-        self.last_summaries_recomputed = 0
-        self.last_regions_resolved = 0
-        self._full_solve()
-
     # ------------------------------------------------------------------
     def _full_solve(self) -> None:
         for region in sorted(self.pst.regions(), key=lambda r: -r.depth):

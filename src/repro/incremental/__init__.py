@@ -8,8 +8,8 @@ Public surface (also promoted to the top-level ``repro`` namespace):
 * the delta types :class:`AddEdge`, :class:`RemoveEdge`, :class:`AddNode`,
   :class:`RemoveNode` and :class:`DeltaValidationError`;
 * :class:`~repro.dataflow.incremental.IncrementalDataflow` re-exported
-  here as its canonical home (structural-edit support lives in this
-  layer's maintenance loop).
+  here as its canonical home: §6.3 re-analysis after transfer-function
+  edits on a fixed CFG.
 """
 
 from repro.dataflow.incremental import IncrementalDataflow

@@ -104,7 +104,6 @@ class EditSession:
         self.pst = None
         self.last_verify_detail: Optional[str] = None
         self._log: List[AppliedDelta] = []
-        self._dataflow: List[Any] = []
         self._next_class_id = 0
         self._next_region_id = 0
         self._verify_rng = random.Random(0xED17)
@@ -190,19 +189,6 @@ class EditSession:
     def sese_regions(self):
         return self.pst.canonical_regions()
 
-    def attach_dataflow(self, problem):
-        """Attach an incrementally maintained dataflow engine.
-
-        Returns a :class:`~repro.dataflow.incremental.IncrementalDataflow`
-        the session keeps current across structural edits (regional
-        re-summarization after a splice, full rebuild otherwise).
-        """
-        from repro.dataflow.incremental import IncrementalDataflow
-
-        engine = IncrementalDataflow(self.cfg, problem, pst=self.pst)
-        self._dataflow.append(engine)
-        return engine
-
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
@@ -223,7 +209,7 @@ class EditSession:
             self._recompute()
             return
         try:
-            outcome = splice_region(
+            splice_region(
                 self.pst,
                 self.equiv,
                 region,
@@ -247,23 +233,12 @@ class EditSession:
         self.session.put_artifact("equiv", self.equiv)
         self.session.put_artifact("pst", self.pst)
         self.session.invalidate(keys=list(_DERIVED))
-        for engine in self._dataflow:
-            try:
-                engine.structural_update(
-                    outcome.new_regions,
-                    outcome.removed_region_ids,
-                    outcome.parent,
-                    removed_nodes=applied.removed_nodes,
-                )
-            except Exception:
-                engine.rebuild(self.pst)
         self._maybe_verify()
 
     def _recompute(self) -> None:
         """The full-recompute rung of the fallback ladder."""
         self._full(validate=True)
         self.stats.full_recomputes += 1
-        self._rebuild_dataflow()
 
     def _full(self, validate: bool) -> None:
         """Recompute everything from scratch (bootstrap and fallback path)."""
@@ -289,10 +264,6 @@ class EditSession:
         self.session.invalidate()
         self.session.put_artifact("equiv", equiv)
         self.session.put_artifact("pst", pst)
-
-    def _rebuild_dataflow(self) -> None:
-        for engine in self._dataflow:
-            engine.rebuild(self.pst)
 
     def _alloc_class_id(self) -> int:
         value = self._next_class_id
@@ -320,7 +291,6 @@ class EditSession:
         self.stats.verify_mismatches += 1
         self.last_verify_detail = detail
         self._adopt(scratch_equiv, scratch_pst)
-        self._rebuild_dataflow()
 
 
 def apply_delta(session: EditSession, delta) -> AppliedDelta:

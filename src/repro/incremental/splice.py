@@ -41,8 +41,7 @@ as "fall back to full recompute" -- never an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cfg.graph import CFG, Edge, NodeId
 from repro.cfg.validate import check_cfg
@@ -64,17 +63,6 @@ class RegionEscape(Exception):
     regional PST with unexpected shape, or an injected fault).  The caller
     degrades to full recompute; this exception never reaches users.
     """
-
-
-@dataclass
-class SpliceOutcome:
-    """What a successful splice changed, for downstream invalidation."""
-
-    parent: SESERegion                      #: the spliced subtree's parent
-    chain: List[SESERegion]                 #: new children replacing the region
-    new_regions: List[SESERegion] = field(default_factory=list)  #: preorder
-    removed_region_ids: List[int] = field(default_factory=list)
-    interior_size: int = 0                  #: nodes in the recomputed region
 
 
 def nca_region(a: SESERegion, b: SESERegion) -> SESERegion:
@@ -116,10 +104,10 @@ def _regional_cfg(
     pst: ProgramStructureTree,
     region: SESERegion,
     added_nodes: Sequence[NodeId],
-) -> Tuple[CFG, Dict[Edge, Edge], Set[NodeId]]:
+) -> Tuple[CFG, Dict[Edge, Edge]]:
     """Build ``Rg`` for ``region``'s (post-edit) interior.
 
-    Returns ``(rg, edge_map, interior)`` where ``edge_map`` maps each edge
+    Returns ``(rg, edge_map)`` where ``edge_map`` maps each edge
     of ``rg`` to the original edge it stands for (the synthetic boundary
     edges map to ``region.entry``/``region.exit``).  The in/out boundary
     scans are defensive: the caller guarantees the edit was interior, so a
@@ -163,7 +151,7 @@ def _regional_cfg(
                 raise RegionEscape(
                     f"edge {edge.source!r}->{edge.target!r} enters the region"
                 )
-    return rg, edge_map, interior
+    return rg, edge_map
 
 
 def splice_region(
@@ -174,7 +162,7 @@ def splice_region(
     removed_nodes: Sequence[NodeId],
     alloc_class_id: Callable[[], int],
     alloc_region_id: Callable[[], int],
-) -> SpliceOutcome:
+) -> None:
     """Recompute ``region``'s subtree from its post-edit interior and splice.
 
     Mutates ``pst`` (tree structure, node/edge indices, caches) and
@@ -194,7 +182,7 @@ def splice_region(
     if parent is None:
         raise RegionEscape("cannot splice the root pseudo-region")
 
-    rg, edge_map, interior = _regional_cfg(pst, region, added_nodes)
+    rg, edge_map = _regional_cfg(pst, region, added_nodes)
     problems = check_cfg(rg)
     if problems:
         raise DeltaValidationError(
@@ -289,11 +277,3 @@ def splice_region(
     pst._canonical = None
     pst._edges_by_level = None
     pst._collapsed_cache.clear()
-
-    return SpliceOutcome(
-        parent=parent,
-        chain=chain,
-        new_regions=new_regions,
-        removed_region_ids=[old.region_id for old in old_regions],
-        interior_size=len(interior),
-    )

@@ -18,15 +18,17 @@ everyone else's sessions nor grow the shard map without bound.  All shards
 share one ``cache`` label, so the metric series stay fixed however many
 clients the server has seen; per-client detail is on ``/statusz``.
 
-Everything here is thread-safe (one lock per cache -- operations are a few
-dict moves, never analysis work) and stdlib-only.
+Everything here is thread-safe and stdlib-only.  Each cache has one lock.
+Lookups and evictions under it are a few dict moves; the only other work
+there is a miss's ``create`` (for the service, building the client's
+graph), which holds up that one shard and nothing else.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.obs import observer as _obs
 
@@ -87,18 +89,18 @@ class SizedLRU:
     def get(self, key: Any, default: Any = None) -> Any:
         """The value for ``key`` (refreshing recency), or ``default``."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                self._count("cache.lookup", result="miss")
-                return default
-            self._entries.move_to_end(key)
-            self.hits += 1
-            self._count("cache.lookup", result="hit")
-            return entry[0]
+            entry = self._lookup(key)
+        return default if entry is None else entry[0]
 
-    def put(self, key: Any, value: Any, cost: int) -> None:
-        """Insert (or replace) ``key`` at ``cost`` bytes, evicting LRU tail.
+    def get_or_create(self, key: Any, create: Callable[[], Tuple[Any, int]]) -> Any:
+        """The value for ``key`` (refreshing recency), created on a miss.
+
+        The one way in: on a miss, ``create()`` runs under this cache's
+        lock and returns ``(value, cost)``; the value is inserted at
+        ``cost`` bytes and the LRU tail evicted until the total fits.  So
+        concurrent first lookups of one key share one value, created once,
+        and a hit creates nothing.  If ``create`` raises, nothing is
+        inserted.
 
         An entry costlier than the whole budget is admitted alone -- the
         cache would otherwise thrash on it -- but immediately becomes the
@@ -106,12 +108,13 @@ class SizedLRU:
         next insertion on (and ``total_bytes`` overshoot is visible to the
         owner, which is what the soak's memory assertion watches).
         """
-        if cost < 0:
-            raise ValueError("cost must be >= 0")
         with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._total -= old[1]
+            entry = self._lookup(key)
+            if entry is not None:
+                return entry[0]
+            value, cost = create()
+            if cost < 0:
+                raise ValueError("cost must be >= 0")
             self._entries[key] = (value, cost)
             self._total += cost
             # A single entry over budget stays (see docstring) unless the
@@ -123,6 +126,7 @@ class SizedLRU:
                 self.evictions += 1
                 self._count("cache.evict", reason="size")
             self._gauge()
+            return value
 
     def clear(self) -> None:
         with self._lock:
@@ -141,6 +145,18 @@ class SizedLRU:
             }
 
     # ------------------------------------------------------------------
+    def _lookup(self, key: Any) -> Optional[Tuple[Any, int]]:
+        """``key``'s ``(value, cost)`` or None, counted; call under ``_lock``."""
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            self._count("cache.lookup", result="miss")
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        self._count("cache.lookup", result="hit")
+        return entry
+
     def _count(self, metric: str, **labels: str) -> None:
         o = _obs._CURRENT
         if o is not None:
@@ -178,29 +194,32 @@ class ShardedSessionCache:
         self.per_client_bytes = max(1, max_bytes // max_clients)
         self._lock = threading.Lock()
         self._shards: "OrderedDict[str, _Shard]" = OrderedDict()
-        # Running totals over all shards, behind their own lock: shards
-        # report under their own lock, which shard() may already hold
-        # ``_lock`` around (evicting a client).
+        # Running totals over all shards, behind their own lock: each shard
+        # reports under its own lock, so several can report at once.
         self._totals_lock = threading.Lock()
         self._bytes = 0
         self._entries = 0
 
     def shard(self, client: str) -> SizedLRU:
         """The (created-on-demand) LRU shard for ``client``."""
+        retired = []
         with self._lock:
             shard = self._shards.get(client)
             if shard is None:
                 shard = _Shard(self)
                 self._shards[client] = shard
                 while len(self._shards) > self.max_clients:
-                    _, dead = self._shards.popitem(last=False)
-                    dead.retire()
-                    o = _obs._CURRENT
-                    if o is not None:
-                        o.count("cache.evict", cache="service.shards", reason="clients")
+                    retired.append(self._shards.popitem(last=False)[1])
             else:
                 self._shards.move_to_end(client)
-            return shard
+        # Shard locks are taken outside ``_lock``: one may be held while a
+        # miss builds a graph, and that must not stall every other client.
+        for dead in retired:
+            dead.retire()
+            o = _obs._CURRENT
+            if o is not None:
+                o.count("cache.evict", cache="service.shards", reason="clients")
+        return shard
 
     @property
     def total_bytes(self) -> int:
@@ -208,7 +227,8 @@ class ShardedSessionCache:
 
     def stats(self) -> Dict[str, object]:
         with self._lock:
-            shards = {name: s.stats() for name, s in self._shards.items()}
+            live = list(self._shards.items())
+        shards = {name: s.stats() for name, s in live}
         return {
             "clients": len(shards),
             "bytes": sum(s["bytes"] for s in shards.values()),
@@ -240,7 +260,7 @@ class _Shard(SizedLRU):
     def retire(self) -> None:
         """Empty the shard of an evicted client and stop reporting.
 
-        A request thread may still hold the shard and put into it; such
+        A request thread may still hold the shard and insert into it; such
         entries live only as long as that reference and are not counted.
         """
         with self._lock:

@@ -19,7 +19,9 @@ every request passes, in order, through
    graph key, holding the CFG, its live edit session, and version-stamped
    cached responses, byte-bounded by ``ServiceConfig.max_cache_bytes``.
    This is the server's one memory bound: each graph's snapshot and
-   analysis session live on the graph and are freed with it.
+   analysis session live on the graph and are freed with it.  A request
+   resolves its graph with one atomic get-or-create, so concurrent first
+   requests share one live graph, and the CFG is built only on a miss.
 
 Endpoints:
 
@@ -32,7 +34,7 @@ Endpoints:
     and positive.
 ``POST /run_batch``
     ``{"items": [<run_analysis body>, ...]}`` (capped at
-    ``max_batch_items``); responses are per-item, admission is per-item.
+    :data:`MAX_BATCH_ITEMS`); responses are per-item, admission is per-item.
 ``POST /apply_delta``
     ``{"client": str?, "key": str? | <graph spelling>, "deltas": [...]}``.
     Applies CFG edit deltas (the JSON wire form of
@@ -52,6 +54,10 @@ Endpoints:
 ``GET /statusz``
     JSON snapshot of admission/cache/drain state.
 
+Every ``/run_analysis`` and ``/apply_delta`` body carries ``edits``: the
+deltas applied to this live graph since the server built it.  A graph
+rebuilt after eviction says 0, so a client can see its edits are gone.
+
 Observability: the server installs one *metrics-only* ambient observer for
 its lifetime (``TraceRecorder`` is single-threaded by design, so tracing
 cannot be ambient under a thread pool); when ``ServiceConfig.trace_path``
@@ -68,9 +74,9 @@ import json
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http import HTTPStatus
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.cfg.graph import InvalidCFGError
 from repro.config import ALL_ANALYSES, AnalysisConfig
@@ -86,10 +92,20 @@ from repro.service.drain import DrainController
 #: changes *how* stages run (ladder depth, checking), never the answer.
 _DEGRADED_OVERRIDES = dict(fast_retries=0, full_check_limit=0)
 
+#: Deadline clamp, in seconds, for degraded-mode requests.
+DEGRADED_DEADLINE = 1.0
+#: Most items one ``/run_batch`` request may carry.
+MAX_BATCH_ITEMS = 64
+#: Largest request body read, in bytes.
+MAX_BODY_BYTES = 4 * 1024 * 1024
+#: How long a drain waits for in-flight requests, in seconds.
+DRAIN_TIMEOUT = 30.0
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tuning for one :class:`AnalysisServer` (all knobs, one value)."""
+    """Tuning for one :class:`AnalysisServer`: the fields ``repro serve``
+    sets from its flags, one each."""
 
     host: str = "127.0.0.1"
     port: int = 0
@@ -105,27 +121,33 @@ class ServiceConfig:
     #: Per-request deadline defaults/caps, seconds.
     default_deadline: float = 5.0
     max_deadline: float = 30.0
-    #: Deadline clamp for degraded-mode requests.
-    degraded_deadline: float = 1.0
-    max_batch_items: int = 64
-    max_body_bytes: int = 4 * 1024 * 1024
     #: Where the drain flush writes the request trace (None = nowhere).
     trace_path: Optional[str] = None
-    drain_timeout: float = 30.0
-    #: Base engine config; per-request settings are layered on top.
-    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
 
 class _BadRequest(ValueError):
     """Client error in the request body -> HTTP 400 with the message."""
 
 
-def _cfg_from_request(body: Dict[str, Any]) -> Tuple[str, Any]:
-    """(stable cache key, CFG) for the request's graph spelling.
+#: POST path -> the :class:`AnalysisServer` method answering it, each
+#: ``(body) -> (status, response body)``.
+_POST_ROUTES = {
+    "/run_analysis": "handle_run_analysis",
+    "/run_batch": "handle_run_batch",
+    "/apply_delta": "handle_apply_delta",
+}
+
+
+def _graph_from_request(body: Dict[str, Any]) -> Tuple[str, Callable[[], Any]]:
+    """(stable cache key, CFG builder) for the request's graph spelling.
 
     Exactly one of ``synth`` / ``source`` / ``cfg`` must be present.  The
     key is deterministic across processes (seeds, or a digest of the
-    source/edge list), so a client's repeat requests hit its shard.
+    source/edge list), so a client's repeat requests hit its shard.  Every
+    check that needs no graph happens here; the builder generates, or
+    parses and lowers, or validates the CFG, and raises
+    :class:`_BadRequest` for a spelling that is not a valid CFG.  The
+    server calls it only when the key misses.
     """
     spellings = [k for k in ("synth", "source", "cfg") if body.get(k) is not None]
     if len(spellings) != 1:
@@ -150,24 +172,29 @@ def _cfg_from_request(body: Dict[str, Any]) -> Tuple[str, Any]:
             raise _BadRequest("'synth' size must be in [0, 100000]")
         if extra < 0 or extra > 100_000:
             raise _BadRequest("'synth' extra_edges must be in [0, 100000]")
-        from repro.synth.unstructured import random_cfg
 
-        return f"synth:{seed}:{size}:{extra}", random_cfg(
-            seed, num_nodes=size, extra_edges=extra
-        )
+        def build_synth():
+            from repro.synth.unstructured import random_cfg
+
+            return random_cfg(seed, num_nodes=size, extra_edges=extra)
+
+        return f"synth:{seed}:{size}:{extra}", build_synth
     if kind == "source":
         source = body["source"]
         if not isinstance(source, str):
             raise _BadRequest("'source' must be a MiniLang string")
-        from repro.lang.lower import lower_procedure
-        from repro.lang.parser import parse_procedure
 
-        try:
-            lowered = lower_procedure(parse_procedure(source))
-        except Exception as error:
-            raise _BadRequest(f"MiniLang parse/lower failed: {error}") from None
+        def build_source():
+            from repro.lang.lower import lower_procedure
+            from repro.lang.parser import parse_procedure
+
+            try:
+                return lower_procedure(parse_procedure(source)).cfg
+            except Exception as error:
+                raise _BadRequest(f"MiniLang parse/lower failed: {error}") from None
+
         digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
-        return f"source:{digest}", lowered.cfg
+        return f"source:{digest}", build_source
     spec = body["cfg"]
     if not isinstance(spec, dict) or not isinstance(spec.get("edges"), list):
         raise _BadRequest("'cfg' must be an object with an 'edges' list")
@@ -184,15 +211,18 @@ def _cfg_from_request(body: Dict[str, Any]) -> Tuple[str, Any]:
     end = spec.get("end", "end")
     if not isinstance(start, str) or not isinstance(end, str):
         raise _BadRequest("'cfg' start and end must be strings")
-    from repro.cfg.builder import cfg_from_edges
 
-    try:
-        cfg = cfg_from_edges(edges, start=start, end=end, validate=True)
-    except InvalidCFGError as error:
-        raise _BadRequest(f"'cfg' is not a valid CFG: {error}") from None
+    def build_cfg():
+        from repro.cfg.builder import cfg_from_edges
+
+        try:
+            return cfg_from_edges(edges, start=start, end=end, validate=True)
+        except InvalidCFGError as error:
+            raise _BadRequest(f"'cfg' is not a valid CFG: {error}") from None
+
     canonical = json.dumps([list(e) for e in edges] + [start, end], sort_keys=True)
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-    return f"cfg:{digest}", cfg
+    return f"cfg:{digest}", build_cfg
 
 
 def _deadline_from_request(body: Dict[str, Any], config: ServiceConfig) -> float:
@@ -250,6 +280,11 @@ class _ClientEntry:
         self.edit = None
         self.lock = threading.Lock()
 
+    @property
+    def edits(self) -> int:
+        """Deltas applied to this live graph since the server built it."""
+        return 0 if self.edit is None else self.edit.applied_deltas
+
 
 class AnalysisServer:
     """Own the HTTP server, caches, admission, drain, and observability."""
@@ -290,9 +325,13 @@ class AnalysisServer:
             def handle_one(self, method):
                 server._handle(self, method)
 
-        self._httpd = ThreadingHTTPServer(
-            (self.config.host, self.config.port), Handler
-        )
+        class HTTPServer(ThreadingHTTPServer):
+            # The stdlib's listen backlog of 5 overflows when a few clients
+            # connect while the accept loop waits for the GIL; the kernel
+            # then drops their SYNs and each connect retries a second later.
+            request_queue_size = 128
+
+        self._httpd = HTTPServer((self.config.host, self.config.port), Handler)
         self._obs_ctx = _obs.observe(self.observer)
         self._obs_ctx.__enter__()
         return self._httpd
@@ -321,7 +360,7 @@ class AnalysisServer:
                 httpd,
                 self.drain,
                 announce=announce,
-                drain_timeout=self.config.drain_timeout,
+                drain_timeout=DRAIN_TIMEOUT,
             )
         finally:
             self._teardown()
@@ -331,7 +370,7 @@ class AnalysisServer:
         self.drain.request_drain(reason="shutdown")
         if self._httpd is not None:
             self._httpd.shutdown()
-            self.drain.wait_idle(timeout=self.config.drain_timeout)
+            self.drain.wait_idle(timeout=DRAIN_TIMEOUT)
             self.drain.flush()
             self._httpd.server_close()
         self._teardown()
@@ -375,19 +414,9 @@ class AnalysisServer:
             if method == "GET" and path == "/statusz":
                 _send_json(handler, 200, self.statusz())
                 return
-            if method == "POST" and path == "/run_analysis":
-                payload = _read_json(handler, self.config.max_body_bytes)
-                status, body = self.handle_run_analysis(payload)
-                _send_json(handler, status, body)
-                return
-            if method == "POST" and path == "/run_batch":
-                payload = _read_json(handler, self.config.max_body_bytes)
-                status, body = self.handle_run_batch(payload)
-                _send_json(handler, status, body)
-                return
-            if method == "POST" and path == "/apply_delta":
-                payload = _read_json(handler, self.config.max_body_bytes)
-                status, body = self.handle_apply_delta(payload)
+            if method == "POST" and path in _POST_ROUTES:
+                route = getattr(self, _POST_ROUTES[path])
+                status, body = route(_read_json(handler))
                 _send_json(handler, status, body)
                 return
             _send_json(
@@ -437,43 +466,81 @@ class AnalysisServer:
         *returned* as structured bodies, not raised -- they are expected
         operating states, not errors.
         """
+        return self._admitted(body, self._run_analysis)
+
+    def handle_apply_delta(
+        self, body: Dict[str, Any]
+    ) -> Tuple[int, Dict[str, Any]]:
+        """Apply edit deltas to a client's live edit session.
+
+        Same admission/drain pipeline as ``/run_analysis``; the work
+        itself runs under the entry's lock (one editor per graph at a
+        time).  Invalid deltas answer 422 ``invalid_delta`` naming the
+        failing index; the failing delta is rolled back exactly, earlier
+        deltas in the batch remain applied.
+        """
+        return self._admitted(body, self._apply_delta)
+
+    def _admitted(
+        self, body: Dict[str, Any], work: Callable[..., Tuple[int, str, Dict[str, Any]]]
+    ) -> Tuple[int, Dict[str, Any]]:
+        """The one request path of ``/run_analysis`` and ``/apply_delta``.
+
+        Checks the body and its client, tracks the request for drain, admits
+        it, counts it, and runs ``work(body, client, mode)``, which returns
+        ``(status, graph key, response body)``.  Stamps the body with the
+        client, key, mode and elapsed seconds, and records the request.
+        """
         if not isinstance(body, dict):
             raise _BadRequest("request body must be a JSON object")
-        try:
-            with self.drain.track():
-                with self.admission.admit() as decision:
-                    return self._run_admitted(body, decision.mode)
-        except ServiceDraining as error:
-            return error.http_status, _unavailable_body(error)
-        except ServiceShed as error:
-            return error.http_status, _unavailable_body(error)
-
-    def _run_admitted(
-        self, body: Dict[str, Any], mode: str
-    ) -> Tuple[int, Dict[str, Any]]:
-        from repro.resilience.engine import run_analysis
-
-        started = time.perf_counter()
         client = body.get("client") or "anonymous"
         if not isinstance(client, str):
             raise _BadRequest("'client' must be a string")
+        try:
+            with self.drain.track():
+                with self.admission.admit() as decision:
+                    started = time.perf_counter()
+                    with self._requests_lock:
+                        self.requests += 1
+                    mode = decision.mode
+                    status, key, result_body = work(body, client, mode)
+        except (ServiceDraining, ServiceShed) as error:
+            return error.http_status, _unavailable_body(error)
+        elapsed = time.perf_counter() - started
+        result_body.update(
+            {"client": client, "key": key, "mode": mode, "elapsed": round(elapsed, 6)}
+        )
+        self._record_request(
+            body_key=key,
+            client=client,
+            mode=mode,
+            cached=result_body.get("cached", False),
+            ok=bool(result_body.get("ok")),
+            elapsed=elapsed,
+            nodes=result_body.get("graph", {}).get("nodes"),
+        )
+        return status, result_body
+
+    def _entry(self, client: str, key: str, build: Callable[[], Any]) -> _ClientEntry:
+        """The client's live entry for ``key``; ``build`` runs only on a miss."""
+
+        def create():
+            cfg = build()
+            return _ClientEntry(cfg), cfg_cost_bytes(cfg)
+
+        return self.sessions.shard(client).get_or_create(key, create)
+
+    def _run_analysis(self, body: Dict[str, Any], client: str, mode: str):
+        from repro.resilience.engine import run_analysis
+
         analyses = _analyses_from_request(body)
         deadline = _deadline_from_request(body, self.config)
-        graph_key, cfg = _cfg_from_request(body)
-
-        with self._requests_lock:
-            self.requests += 1
-
-        shard = self.sessions.shard(client)
-        entry = shard.get(graph_key)
-        cached = False
-        if entry is None:
-            entry = _ClientEntry(cfg)
-            shard.put(graph_key, entry, cfg_cost_bytes(cfg))
+        key, build = _graph_from_request(body)
+        entry = self._entry(client, key, build)
         overrides: Dict[str, Any] = {"deadline": deadline, "analyses": analyses}
         if mode == "degraded":
             overrides.update(_DEGRADED_OVERRIDES)
-            overrides["deadline"] = min(deadline, self.config.degraded_deadline)
+            overrides["deadline"] = min(deadline, DEGRADED_DEADLINE)
         # entry.cfg, not the request's spelling: /apply_delta may have
         # edited the client's live graph since it was first cached.  The
         # entry lock keeps the engine from racing a concurrent edit, and the
@@ -481,13 +548,11 @@ class AnalysisServer:
         with entry.lock:
             version = entry.cfg.version
             memo = entry.responses.get(analyses)
-            if memo is not None and memo[0] == version:
-                cached = True
+            cached = memo is not None and memo[0] == version
+            if cached:
                 result_body = dict(memo[1])
             else:
-                result = run_analysis(
-                    entry.cfg, config=self.config.analysis.replace(**overrides)
-                )
+                result = run_analysis(entry.cfg, config=AnalysisConfig(**overrides))
                 result_body = {
                     "ok": result.ok,
                     "error": result.error,
@@ -509,94 +574,37 @@ class AnalysisServer:
                 }
                 if result.ok:
                     entry.responses[analyses] = (version, dict(result_body))
-        elapsed = time.perf_counter() - started
-        result_body.update(
-            {
-                "client": client,
-                "key": graph_key,
-                "mode": mode,
-                "cached": cached,
-                "elapsed": round(elapsed, 6),
-            }
-        )
-        self._record_request(
-            body_key=graph_key,
-            client=client,
-            mode=mode,
-            cached=cached,
-            ok=bool(result_body.get("ok")),
-            elapsed=elapsed,
-            nodes=entry.cfg.num_nodes,
-        )
-        status = 200 if result_body.get("ok") else 422
-        return status, result_body
+            result_body["edits"] = entry.edits
+        result_body["cached"] = cached
+        return (200 if result_body.get("ok") else 422), key, result_body
 
-    def handle_apply_delta(
-        self, body: Dict[str, Any]
-    ) -> Tuple[int, Dict[str, Any]]:
-        """Apply edit deltas to a client's live edit session.
-
-        Same admission/drain pipeline as ``/run_analysis``; the work
-        itself runs under the entry's lock (one editor per graph at a
-        time).  Invalid deltas answer 422 ``invalid_delta`` naming the
-        failing index; the failing delta is rolled back exactly, earlier
-        deltas in the batch remain applied.
-        """
-        if not isinstance(body, dict):
-            raise _BadRequest("request body must be a JSON object")
-        try:
-            with self.drain.track():
-                with self.admission.admit() as decision:
-                    return self._apply_admitted(body, decision.mode)
-        except ServiceDraining as error:
-            return error.http_status, _unavailable_body(error)
-        except ServiceShed as error:
-            return error.http_status, _unavailable_body(error)
-
-    def _apply_admitted(
-        self, body: Dict[str, Any], mode: str
-    ) -> Tuple[int, Dict[str, Any]]:
+    def _apply_delta(self, body: Dict[str, Any], client: str, mode: str):
         from repro.incremental import DeltaValidationError, EditSession
 
-        started = time.perf_counter()
-        client = body.get("client") or "anonymous"
-        if not isinstance(client, str):
-            raise _BadRequest("'client' must be a string")
         deltas = body.get("deltas")
         if not isinstance(deltas, list) or not deltas:
             raise _BadRequest("'deltas' must be a non-empty list of delta objects")
-
-        shard = self.sessions.shard(client)
         key = body.get("key")
-        if key is not None:
+        if key is None:
+            key, build = _graph_from_request(body)
+            entry = self._entry(client, key, build)
+        else:
             if not isinstance(key, str):
                 raise _BadRequest("'key' must be a string")
             if any(body.get(k) is not None for k in ("synth", "source", "cfg")):
                 raise _BadRequest("give either 'key' or a graph spelling, not both")
-            entry = shard.get(key)
+            entry = self.sessions.shard(client).get(key)
             if entry is None:
-                return 400, {
+                return 400, key, {
                     "ok": False,
                     "error": "unknown_key",
                     "message": f"client {client!r} has no cached graph {key!r}; "
                     "send a graph spelling to create one",
-                    "client": client,
-                    "key": key,
                 }
-            graph_key = key
-        else:
-            graph_key, cfg = _cfg_from_request(body)
-            entry = shard.get(graph_key)
-            if entry is None:
-                entry = _ClientEntry(cfg)
-                shard.put(graph_key, entry, cfg_cost_bytes(cfg))
-
-        with self._requests_lock:
-            self.requests += 1
 
         with entry.lock:
             if entry.edit is None:
-                entry.edit = EditSession(entry.cfg, self.config.analysis)
+                entry.edit = EditSession(entry.cfg)
             edit = entry.edit
             applied = 0
             failure: Optional[Dict[str, Any]] = None
@@ -610,45 +618,27 @@ class AnalysisServer:
                     failure = {"index": index, "message": str(error)}
                     break
                 applied += 1
-            stats = edit.stats.as_dict()
-            graph = {"nodes": entry.cfg.num_nodes, "edges": entry.cfg.num_edges}
-            regions = len(edit.pst.canonical_regions())
-
-        elapsed = time.perf_counter() - started
-        result_body: Dict[str, Any] = {
-            "ok": failure is None,
-            "applied": applied,
-            "graph": graph,
-            "edit_stats": stats,
-            "pst": {"regions": regions},
-            "client": client,
-            "key": graph_key,
-            "mode": mode,
-            "elapsed": round(elapsed, 6),
-        }
+            result_body: Dict[str, Any] = {
+                "ok": failure is None,
+                "applied": applied,
+                "edits": entry.edits,
+                "graph": {"nodes": entry.cfg.num_nodes, "edges": entry.cfg.num_edges},
+                "edit_stats": edit.stats.as_dict(),
+                "pst": {"regions": len(edit.pst.canonical_regions())},
+            }
         if failure is not None:
             result_body["error"] = "invalid_delta"
             result_body["index"] = failure["index"]
             result_body["message"] = failure["message"]
-        self._record_request(
-            body_key=graph_key,
-            client=client,
-            mode=mode,
-            cached=False,
-            ok=failure is None,
-            elapsed=elapsed,
-            nodes=graph["nodes"],
-        )
-        return (200 if failure is None else 422), result_body
+        return (200 if failure is None else 422), key, result_body
 
     def handle_run_batch(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         if not isinstance(body, dict) or not isinstance(body.get("items"), list):
             raise _BadRequest("batch body must be {'items': [...]}")
         items = body["items"]
-        if len(items) > self.config.max_batch_items:
+        if len(items) > MAX_BATCH_ITEMS:
             raise _BadRequest(
-                f"batch of {len(items)} exceeds max_batch_items="
-                f"{self.config.max_batch_items}"
+                f"batch of {len(items)} exceeds max_batch_items={MAX_BATCH_ITEMS}"
             )
         client = body.get("client")
         results = []
@@ -763,14 +753,14 @@ def _make_handler_base():
     return Base
 
 
-def _read_json(handler, max_body_bytes: int) -> Dict[str, Any]:
+def _read_json(handler) -> Dict[str, Any]:
     length = handler.headers.get("Content-Length")
     try:
         length = int(length)
     except (TypeError, ValueError):
         raise _BadRequest("Content-Length required") from None
-    if length < 0 or length > max_body_bytes:
-        raise _BadRequest(f"body of {length} bytes exceeds cap {max_body_bytes}")
+    if length < 0 or length > MAX_BODY_BYTES:
+        raise _BadRequest(f"body of {length} bytes exceeds cap {MAX_BODY_BYTES}")
     raw = handler.rfile.read(length)
     try:
         return json.loads(raw.decode("utf-8"))

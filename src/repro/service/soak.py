@@ -17,8 +17,9 @@ cannot be trusted to produce:
 
 The report asserts the service's whole robustness contract: zero
 unhandled server exceptions (no HTTP 500s, no client-visible connection
-resets), RSS growth bounded by the cache budget plus a fixed slack, and
-per-size-band p99 latency within the SLO budgets.  The SLO rows are
+resets), 200 bodies that agree with the client's acknowledged edits, RSS
+growth bounded by the cache budget plus a fixed slack, and per-size-band
+p99 latency within the SLO budgets.  The SLO rows are
 written into ``benchmarks/results/BENCH_perf.json`` under ``service_slo``
 so ``repro bench --slo`` can gate them in CI.
 
@@ -95,6 +96,8 @@ class SoakReport:
     cache_hits: int = 0
     edits: int = 0
     edit_rejected: int = 0
+    body_mismatches: int = 0
+    rebuilt: int = 0
     probes: Dict[str, bool] = field(default_factory=dict)
     slo: List[Dict[str, Any]] = field(default_factory=list)
     rss_start_bytes: Optional[int] = None
@@ -118,6 +121,8 @@ class SoakReport:
             f"({self.ok} ok, {self.shed} shed, {self.analysis_failed} failed, "
             f"{self.server_errors} server errors, {self.fault_fires} faults fired, "
             f"{self.edits} edits applied, {self.edit_rejected} edits rejected)",
+            f"  bodies: {self.body_mismatches} mismatches, "
+            f"{self.rebuilt} graphs visibly rebuilt without their edits",
         ]
         for row in self.slo:
             verdict = "ok" if row["ok"] else "OVER BUDGET"
@@ -189,8 +194,40 @@ class _ClientStats:
         self.cache_hits = 0
         self.edits = 0
         self.edit_rejected = 0
+        self.body_mismatches = 0
+        self.rebuilt = 0
+        #: graph -> (edges of the unedited graph, edits the client expects)
+        self.graphs: Dict[Any, Tuple[int, int]] = {}
         self.latency: Dict[str, List[float]] = {}
         self.problems: List[str] = []
+
+    def check_body(self, graph: Any, body: Dict[str, Any], edited: bool) -> None:
+        """Check one 200 body for ``graph`` against the acknowledged edits.
+
+        Every soak delta adds exactly one edge, so ``graph.edges - edits``
+        is the unedited graph's edge count in every body, and ``edits`` is
+        at most the edits this client had acknowledged (``edited``: this
+        body acknowledges one more).  A lower ``edits`` means the server
+        rebuilt the graph and said so: the expectation restarts from it.
+        """
+        edges = (body.get("graph") or {}).get("edges")
+        edits = body.get("edits")
+        base, expected = self.graphs.pop(graph, (None, 0))
+        expected += edited
+        if (
+            not (isinstance(edges, int) and isinstance(edits, int))
+            or edits > expected
+            or base not in (None, edges - edits)
+        ):
+            self.body_mismatches += 1
+            self.problems.append(
+                f"body mismatch for {graph}: {edges} edges with {edits} edits, "
+                f"expected {base} unedited edges and at most {expected} edits"
+            )
+            return  # the next body starts a fresh expectation
+        if edits < expected:
+            self.rebuilt += 1
+        self.graphs[graph] = (edges - edits, edits)
 
 
 def _client_loop(
@@ -239,6 +276,7 @@ def _client_loop(
         if status == 200:
             stats.ok += 1
             stats.latency.setdefault(band, []).append(elapsed)
+            stats.check_body((size, graph_seed), response, editing)
             if editing:
                 stats.edits += 1
             elif response.get("cached"):
@@ -328,6 +366,8 @@ def run_soak(config: Optional[SoakConfig] = None, out=None) -> SoakReport:
         report.cache_hits += s.cache_hits
         report.edits += s.edits
         report.edit_rejected += s.edit_rejected
+        report.body_mismatches += s.body_mismatches
+        report.rebuilt += s.rebuilt
         report.failures.extend(s.problems[:5])
     report.fault_fires = plan.total_fires()
 
@@ -353,6 +393,8 @@ def run_soak(config: Optional[SoakConfig] = None, out=None) -> SoakReport:
 
     if report.server_errors:
         report.failures.append(f"{report.server_errors} unhandled server error(s)")
+    if report.body_mismatches:
+        report.failures.append(f"{report.body_mismatches} response body mismatch(es)")
     if report.transport_errors:
         report.failures.append(
             f"{report.transport_errors} transport error(s) (connection resets?)"

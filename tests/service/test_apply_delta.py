@@ -1,6 +1,7 @@
 """POST /apply_delta: live per-client edit sessions over real HTTP."""
 
 import json
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -268,6 +269,7 @@ def handlers():
 
 
 SYNTH = {"client": "me", "synth": {"seed": 2, "size": 30}}
+EDGE = {"op": "add_edge", "source": "n1", "target": "n2"}
 
 
 def test_a_batch_rejected_after_an_applied_delta_leaves_no_stale_memo(handlers):
@@ -371,3 +373,156 @@ def test_a_non_string_cfg_start_or_end_is_a_400(handlers, field, value):
         }
         with pytest.raises(_BadRequest, match="start and end must be strings"):
             handle(body)
+
+
+# ----------------------------------------------------------------------
+# one live graph per client key: first-request races, build on miss,
+# and the edits a body reports
+# ----------------------------------------------------------------------
+
+def test_a_first_edit_racing_a_first_analysis_is_not_lost(handlers, monkeypatch):
+    """Hold both first requests where a lookup by ``get`` misses, and let
+    the reader insert after the editor: the acknowledged edit must stay in
+    the client's one live graph."""
+    from repro.service.cache import SizedLRU
+    from repro.synth.unstructured import random_cfg
+
+    key = "synth:2:30:15"
+    missed = {"editor": threading.Event(), "reader": threading.Event()}
+    editor_done = threading.Event()
+    real_get = SizedLRU.get
+
+    def held_get(self, lookup, default=None):
+        value = real_get(self, lookup, default)
+        name = threading.current_thread().name
+        if lookup == key and value is default and name in missed:
+            missed[name].set()
+            if name == "editor":
+                missed["reader"].wait(timeout=10)
+            else:
+                editor_done.wait(timeout=10)
+        return value
+
+    monkeypatch.setattr(SizedLRU, "get", held_get)
+    answers = {}
+
+    def editor():
+        answers["editor"] = handlers.handle_apply_delta(dict(SYNTH, deltas=[EDGE]))
+        editor_done.set()
+
+    def reader():
+        answers["reader"] = handlers.handle_run_analysis(dict(SYNTH))
+
+    threads = [
+        threading.Thread(target=editor, name="editor"),
+        threading.Thread(target=reader, name="reader"),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+
+    base_edges = random_cfg(2, num_nodes=30, extra_edges=15).num_edges
+    status, edited = answers["editor"]
+    assert (status, edited["applied"]) == (200, 1)
+    assert edited["graph"]["edges"] == base_edges + 1
+    assert answers["reader"][0] == 200
+    status, after = handlers.handle_run_analysis(dict(SYNTH))
+    assert status == 200
+    assert after["graph"]["edges"] == base_edges + 1
+    assert edited["edits"] == after["edits"] == 1
+
+
+def test_racing_first_requests_lose_no_acknowledged_edit(handlers):
+    """200 graphs, each with an editor and a reader released together."""
+    lost = []
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(200):
+            spelling = {"client": "me", "synth": {"seed": seed, "size": 8}}
+            barrier = threading.Barrier(2)
+            answers = {}
+
+            def editor():
+                barrier.wait(timeout=10)
+                answers["editor"] = handlers.handle_apply_delta(
+                    dict(spelling, deltas=[EDGE])
+                )
+
+            def reader():
+                barrier.wait(timeout=10)
+                answers["reader"] = handlers.handle_run_analysis(dict(spelling))
+
+            threads = [threading.Thread(target=editor), threading.Thread(target=reader)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            status, edited = answers["editor"]
+            assert (status, edited["applied"]) == (200, 1)
+            status, after = handlers.handle_run_analysis(dict(spelling))
+            if after["graph"]["edges"] != edited["graph"]["edges"]:
+                lost.append(seed)
+    finally:
+        sys.setswitchinterval(previous)
+    assert lost == []
+
+
+@pytest.mark.parametrize(
+    "spelling, builder",
+    [
+        ({"synth": {"seed": 2, "size": 30}}, "repro.synth.unstructured.random_cfg"),
+        (
+            {"source": "proc f(n) { s = 0; while (s < n) { s = s + 1; } return s; }"},
+            "repro.lang.lower.lower_procedure",
+        ),
+        (
+            {"cfg": {"edges": [["start", "a"], ["a", "b"], ["a", "end"], ["b", "end"]]}},
+            "repro.cfg.builder.cfg_from_edges",
+        ),
+    ],
+)
+def test_a_key_hit_builds_no_graph(handlers, monkeypatch, spelling, builder):
+    import importlib
+
+    module_name, name = builder.rsplit(".", 1)
+    module = importlib.import_module(module_name)
+    real = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    for _ in range(2):
+        status, body = handlers.handle_run_analysis(dict(spelling, client="me"))
+        assert status == 200
+    assert calls == [name]
+
+
+def test_an_evicted_graph_comes_back_saying_its_edits_are_gone():
+    server = AnalysisServer(
+        ServiceConfig(rate=10_000.0, burst=1_000, max_cache_bytes=40_000, max_clients=1)
+    )
+    status, edited = server.handle_apply_delta(dict(SYNTH, deltas=[EDGE]))
+    assert status == 200
+    assert (edited["applied"], edited["edits"]) == (1, 1)
+    for seed in range(3, 12):
+        status, _ = server.handle_run_analysis(
+            {"client": "me", "synth": {"seed": seed, "size": 30}}
+        )
+        assert status == 200
+
+    status, by_key = server.handle_apply_delta(
+        {"client": "me", "key": edited["key"], "deltas": [EDGE]}
+    )
+    assert (status, by_key["error"]) == (400, "unknown_key")
+
+    status, rebuilt = server.handle_run_analysis(dict(SYNTH))
+    assert status == 200
+    assert rebuilt["graph"]["edges"] == edited["graph"]["edges"] - 1
+    assert (rebuilt["cached"], rebuilt["edits"]) == (False, 0)

@@ -429,3 +429,23 @@ def test_a_server_without_a_trace_path_keeps_no_request_spans():
         srv.shutdown()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def test_a_burst_of_connects_is_queued_while_nothing_accepts():
+    """A burst of clients connecting while the accept loop is busy must wait
+    in the listen backlog.  Past a full backlog the kernel drops the SYN and
+    the client's connect retries a second later."""
+    import socket
+
+    srv = AnalysisServer(ServiceConfig(port=0))
+    httpd = srv.start()  # listening; no thread accepts yet
+    connections = []
+    try:
+        for _ in range(16):
+            connections.append(socket.create_connection(srv.address, timeout=0.5))
+    finally:
+        for connection in connections:
+            connection.close()
+        httpd.server_close()
+        srv._teardown()
+    assert len(connections) == 16

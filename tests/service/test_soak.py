@@ -41,6 +41,26 @@ def test_soak_passes_with_zero_server_errors(report):
     assert report.requests > 0 and report.ok > 0
     assert report.server_errors == 0
     assert report.transport_errors == 0
+    assert report.body_mismatches == 0
+
+
+def test_body_check_accepts_a_visible_rebuild_and_flags_lost_or_phantom_edits():
+    from repro.service.soak import _ClientStats
+
+    stats = _ClientStats()
+    graph = (30, 2)
+
+    def check(edges, edits, edited=False):
+        stats.check_body(graph, {"graph": {"edges": edges}, "edits": edits}, edited)
+        return stats.body_mismatches, stats.rebuilt
+
+    assert check(47, 0) == (0, 0)
+    assert check(48, 1, edited=True) == (0, 0)
+    assert check(48, 1) == (0, 0)
+    assert check(47, 0) == (0, 1)  # evicted, rebuilt, and the body says so
+    assert check(48, 1, edited=True) == (0, 1)
+    assert check(47, 1) == (1, 1)  # the edit is gone, yet the body counts it
+    assert check(48, 2) == (2, 1)  # an edit the client never had acknowledged
 
 
 def test_soak_faults_fired_and_the_ladder_recovered(report):
