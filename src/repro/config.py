@@ -33,9 +33,9 @@ from repro.obs.observer import Observer
 #: The analyses run_analysis knows how to run, in default order.
 ALL_ANALYSES: Tuple[str, ...] = ("pst", "dominators", "control-regions")
 
-#: Graphs with at most this many edges get the *full* slow cross-check as a
-#: postcondition (it is microseconds there); larger graphs rely on the
-#: structural and dominance checks, which stay O(E).
+#: Graphs with at most this many edges are cross-checked against the slow
+#: references as a postcondition (it is microseconds there); larger graphs
+#: are checked against control-dependence sums, which stay O(E).
 DEFAULT_FULL_CHECK_LIMIT = 256
 
 

@@ -15,7 +15,7 @@ missing or unset root raises :class:`~repro.cfg.graph.InvalidCFGError`
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.cfg.graph import CFG, NodeId
 from repro.cfg.traversal import reverse_postorder
@@ -58,30 +58,44 @@ def _immediate_dominators_kernel(
     return kernel_immediate_dominators(frozen, frozen.index_of[root], ticker)
 
 
-def edge_dominance(cfg: CFG, ticker: Optional[Ticker] = None) -> "EdgeDominance":
-    """Edge dominance and postdominance queries for ``cfg``.
+def iterative_dominator_indices(
+    cfg: CFG, ticker: Optional[Ticker] = None, reverse: bool = False
+) -> List[int]:
+    """The iterative kernel's idom array over the shared snapshot.
 
-    Runs the iterative kernel twice over the shared snapshot -- forward from
-    ``start``, then over the reversed rows from ``end`` -- each as one
-    ``immediate_dominators`` dispatch, and answers Definition 2's edge
-    questions from those two node trees
-    (:class:`~repro.kernel.dominance.EdgeDominance`), with no edge-split
-    copy of the graph.  ``cfg`` must satisfy Definition 1.  ``ticker`` is
-    charged as :func:`immediate_dominators` charges it, once per run.
+    Forward from ``start``, or with ``reverse=True`` over the reversed rows
+    from ``end`` (postdominators); indexed by node index, ``-1`` off the
+    tree.  One ``immediate_dominators`` dispatch, charging ``ticker`` as
+    :func:`immediate_dominators` does.
     """
-    from repro.kernel.dominance import EdgeDominance, kernel_iterative_dominators
+    from repro.kernel.dominance import kernel_iterative_dominators
     from repro.kernel.registry import shared_frozen
 
     frozen = shared_frozen(cfg)
-    idom = _obs.dispatch(
+    root = frozen.end if reverse else frozen.start
+    return _obs.dispatch(
         "immediate_dominators", "kernel", cfg,
-        kernel_iterative_dominators, frozen, frozen.start, ticker,
+        kernel_iterative_dominators, frozen, root, ticker, reverse,
     )
-    ipdom = _obs.dispatch(
-        "immediate_dominators", "kernel", cfg,
-        kernel_iterative_dominators, frozen, frozen.end, ticker, True,
+
+
+def edge_dominance(cfg: CFG, ticker: Optional[Ticker] = None) -> "EdgeDominance":
+    """Edge dominance and postdominance queries for ``cfg``.
+
+    Runs the iterative kernel twice (:func:`iterative_dominator_indices`,
+    forward and reversed) and answers Definition 2's edge questions from
+    those two node trees (:class:`~repro.kernel.dominance.EdgeDominance`),
+    with no edge-split copy of the graph.  ``cfg`` must satisfy
+    Definition 1.
+    """
+    from repro.kernel.dominance import EdgeDominance
+    from repro.kernel.registry import shared_frozen
+
+    return EdgeDominance(
+        shared_frozen(cfg),
+        iterative_dominator_indices(cfg, ticker),
+        iterative_dominator_indices(cfg, ticker, reverse=True),
     )
-    return EdgeDominance(frozen, idom, ipdom)
 
 
 def immediate_dominators_reference(

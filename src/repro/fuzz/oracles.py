@@ -439,11 +439,13 @@ def _check_dataflow(case: FuzzCase) -> Optional[str]:
 def _check_fault_recovery(case: FuzzCase) -> Optional[str]:
     """The resilience engine must absorb every injected fault.
 
-    For each fault site, a persistent fault is injected and
+    For each fault site, a persistent fault and a transient one (a single
+    firing) are injected in turn and
     :func:`repro.resilience.engine.run_analysis` is run; the engine must
-    report success (detecting the corruption and falling back, or the fault
-    being masked) and its results must equal the clean run's -- which the
-    engine itself has already verified against the slow references.
+    report success (detecting the corruption and falling back or retrying,
+    or the fault being masked) and its results must equal the clean run's
+    -- which the engine itself has already verified, against the slow
+    references or, past ``full_check_limit``, the control-dependence sums.
     """
     from repro.resilience import engine as _engine
     from repro.resilience import faults as _faults
@@ -458,22 +460,27 @@ def _check_fault_recovery(case: FuzzCase) -> Optional[str]:
             + "; ".join(a.describe() for a in clean.diagnostic.failures())
         )
     clean_pst = sorted((r.entry.eid, r.exit.eid) for r in clean.pst.canonical_regions())
-    for site in _faults.ALL_SITES:
-        plan = _faults.FaultPlan(sites=[site.name], seed=case.seed)
+    plans = [
+        (site.name if max_fires is None else f"{site.name} x1", site.name, max_fires)
+        for site in _faults.ALL_SITES
+        for max_fires in (None, 1)
+    ]
+    for label, name, max_fires in plans:
+        plan = _faults.FaultPlan(sites=[name], seed=case.seed, max_fires=max_fires)
         with _faults.inject(plan):
             injected = _engine.run_analysis(cfg)
         if not injected.ok:
-            return f"[{site.name}] engine failed under injection: {injected.error}"
+            return f"[{label}] engine failed under injection: {injected.error}"
         if injected.idom != clean.idom:
-            return f"[{site.name}] recovered idoms differ from the clean run"
+            return f"[{label}] recovered idoms differ from the clean run"
         if injected.control_regions != clean.control_regions:
-            return f"[{site.name}] recovered control regions differ from the clean run"
+            return f"[{label}] recovered control regions differ from the clean run"
         injected_pst = sorted(
             (r.entry.eid, r.exit.eid) for r in injected.pst.canonical_regions()
         )
         if injected_pst != clean_pst:
             return (
-                f"[{site.name}] recovered PST regions {injected_pst} != "
+                f"[{label}] recovered PST regions {injected_pst} != "
                 f"clean {clean_pst} (edge-id pairs)"
             )
     return None

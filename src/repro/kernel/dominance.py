@@ -11,11 +11,15 @@ of the two CSR halves, which computes *post*\\ dominators without ever
 materializing a reversed copy of the graph.
 
 :class:`EdgeDominance` answers Definition 2's edge (post)dominance
-questions from the two node trees of the graph itself.
+questions from the two node trees of the graph itself, and
+:func:`control_dependence_sums` summarizes every edge's and every node's
+control-dependence set from the same postdominator tree.
 """
 
 from __future__ import annotations
 
+import random
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.cfg.graph import Edge
@@ -279,7 +283,11 @@ def kernel_immediate_dominators(
 ) -> Dict[object, object]:
     """:func:`kernel_iterative_dominators` keyed by node ids; only reachable
     nodes appear."""
-    idom = kernel_iterative_dominators(frozen, root, ticker)
+    return idoms_by_node(frozen, kernel_iterative_dominators(frozen, root, ticker))
+
+
+def idoms_by_node(frozen: FrozenCFG, idom: List[int]) -> Dict[object, object]:
+    """An idom array keyed by node ids; nodes off the tree are left out."""
     node_ids = frozen.node_ids
     return {node_ids[i]: node_ids[d] for i, d in enumerate(idom) if d >= 0}
 
@@ -347,10 +355,11 @@ class EdgeDominance:
     (every node on a path from ``start`` to ``end``).
     """
 
-    __slots__ = ("_frozen", "_dom", "_pdom")
+    __slots__ = ("_frozen", "_ipdom", "_dom", "_pdom")
 
     def __init__(self, frozen: FrozenCFG, idom: List[int], ipdom: List[int]):
         self._frozen = frozen
+        self._ipdom = ipdom
         self._dom = _preorder_intervals(idom, frozen.start)
         self._pdom = _preorder_intervals(ipdom, frozen.end)
 
@@ -394,3 +403,85 @@ def _sole_unavoidable(
         if not lo <= pre[nbr[i]] <= hi:
             outside += 1
     return outside == 1
+
+
+#: Seed of the random words :func:`control_dependence_sums` adds up; fixed,
+#: so every verdict is reproducible.
+_SUM_SEED = 0x5E5E17
+
+
+def control_dependence_sums(
+    dominance: EdgeDominance, ticker: Optional[Ticker] = None
+) -> Tuple[List[int], List[int]]:
+    """A sum of random words for each edge's and each node's
+    control-dependence set; equal sets give equal sums.
+
+    Split every edge ``e = u -> v`` by a fresh node ``x_e``.  ``x_e`` lies
+    on exactly the cycles of ``e``, so in the split graph G' node cycle
+    equivalence gives G's edge classes (on the ``x_e``) and its node
+    classes (on G's own nodes), and Theorem 7 turns both into equal
+    control-dependence sets.  Each set is summarized FOW-style
+    (:mod:`repro.controldep.fow`): every G' edge ``c`` draws a word ``h``,
+    adds it at the first node of its postdominator-tree walk and subtracts
+    it at the walk's stop, and a node's sum is the total over its subtree.
+    The ``end -> start`` augmentation adds its word at ``start``.
+
+    G' is never built.  Its postdominator tree follows from G's: ``x_e``
+    hangs below ``v``, and ``u`` hangs below ``x_e`` when ``e`` is ``u``'s
+    only out-edge to a node ``u`` does not postdominate (the lemma of
+    :class:`EdgeDominance`), otherwise below its own ``ipdom``.  The edge
+    ``x_e -> v`` controls nothing, so only the ``u -> x_e`` halves draw.
+
+    Returns ``(edge_sums, node_sums)``, by edge and node index.  Checked
+    against them, a partition that splits a set is always caught; one that
+    merges two sets escapes only if their sums collide, about once in 2**64.
+    ``ticker`` is charged one step per node of G', as one sweep of
+    :func:`kernel_iterative_dominators` is.
+    """
+    frozen = dominance._frozen
+    n = frozen.num_nodes
+    m = frozen.num_edges
+    if ticker is not None:
+        ticker.tick(n + m)
+    ipdom = dominance._ipdom
+    pre, last = dominance._pdom
+    succ_off = frozen.succ_off
+    succ_edge = frozen.succ_edge
+    succ_dst = frozen.succ_dst
+    pred_off = frozen.pred_off
+    pred_edge = frozen.pred_edge
+    end = frozen.end
+    words = array("Q", random.Random(_SUM_SEED).randbytes(8 * (m + 1))).tolist()
+    edge_sum = words[:m]  # + at each x_e
+    node_sum = [0] * n
+    node_sum[frozen.start] = words[m]  # the end -> start augmentation
+
+    # Subtree totals, children first.  Reverse preorder of G's tree visits
+    # every node after its G-children, and x_e's only possible child u
+    # (when e is u's sole way out) is a G-child of e's target, so each
+    # in-edge's x_e total is final when its target is reached.  The walks
+    # of u's out-edges all stop at u's parent in G', so u passes its total
+    # up less their words.
+    order = [0] * n
+    for w in range(n):
+        order[pre[w]] = w
+    for w in reversed(order):
+        total = node_sum[w]
+        for i in range(pred_off[w], pred_off[w + 1]):
+            total += edge_sum[pred_edge[i]]
+        node_sum[w] = total
+        lo = pre[w]
+        hi = last[w]
+        outside = 0
+        sole = -1
+        for i in range(succ_off[w], succ_off[w + 1]):
+            e = succ_edge[i]
+            total -= words[e]
+            if not lo <= pre[succ_dst[i]] <= hi:
+                outside += 1
+                sole = e
+        if outside == 1:
+            edge_sum[sole] += total  # w hangs below x_sole
+        elif w != end:
+            node_sum[ipdom[w]] += total
+    return edge_sum, node_sum

@@ -48,6 +48,14 @@ from repro.resilience.engine import AnalysisResult, run_analysis
 #: statuses that count as a successfully analyzed item
 SUCCESS_STATUSES = ("ok", "degraded")
 
+#: A parallel batch ships items to its workers in chunks: a chunk ships once
+#: it holds ``CHUNK_ITEMS`` items or ``CHUNK_EDGES`` edges, or at once while
+#: fewer chunks are in flight than there are workers, and a graph of at
+#: least ``CHUNK_EDGES`` edges ships alone.  One future per small item cost
+#: the parent more than the item cost a worker (docs/PERFORMANCE.md).
+CHUNK_ITEMS = 32
+CHUNK_EDGES = 1024
+
 
 class BatchSerialFallback(UserWarning):
     """``run_batch`` ran serially despite ``workers > 1``.
@@ -242,7 +250,7 @@ def run_batch(
     sleep: Callable[[float], None] = time.sleep,
     clock: Callable[[], float] = time.monotonic,
 ) -> BatchReport:
-    """Run the analysis engine over ``items`` with full isolation.
+    """Run the analysis engine over ``items``, isolating each item.
 
     ``items`` yields ``(key, thunk)`` pairs; the thunk produces the CFG so
     that even *loading* an item is inside the isolation boundary.  All
@@ -261,10 +269,14 @@ def run_batch(
     ``config.workers > 1`` fans the engine calls out over a process pool:
     thunks still run in this process (they are arbitrary closures), but
     each CFG is re-encoded as a plain tuple and analyzed -- retries,
-    backoff and all -- in a worker, so one item's crash (or the worker's
-    death) cannot take down the batch or its siblings.  Results keep the
-    submission order of ``items`` and the checkpoint is appended as
-    futures complete, exactly as in serial mode.
+    backoff and all -- in a worker.  Small items share a future (see
+    :data:`CHUNK_ITEMS`), and each still gets its own result.  An item
+    that raises fails alone, but a worker that *dies* (SIGKILL, OOM)
+    breaks the pool: every item not yet finished then gets an ``error``
+    result, siblings included.  The batch itself still never raises, and
+    every item gets a result.  Results keep
+    the submission order of ``items``, and the checkpoint is appended as
+    futures complete, while later items are still loading.
 
     Observation survives the fan-out: the active observer never crosses
     the process boundary; instead each worker call rebuilds a fresh shard
@@ -379,13 +391,19 @@ def _run_parallel(
 ) -> None:
     """Fan engine calls out over a process pool; fill ``report`` in order.
 
+    Items ship in chunks (see :data:`CHUNK_ITEMS`); each finished future
+    puts itself on a queue, so the parent handles a completion without
+    scanning the futures still pending, and records results -- checkpoint
+    line, ``on_item``, observer shard -- while it is still loading items.
+
     When an observer is active, each submission carries its picklable
-    :meth:`~repro.obs.observer.Observer.spec`; the worker records into a
-    fresh shard and returns its snapshot, which is absorbed here -- in the
-    completion loop, while the batch span is still open -- so the merged
-    trace and metrics land in the parent observer incrementally.
+    :meth:`~repro.obs.observer.Observer.spec`; the worker records each item
+    into a fresh shard and returns its snapshot, which is absorbed here,
+    while the batch span is still open, so the merged trace and metrics
+    land in the parent observer incrementally.
     """
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    import queue
+    from concurrent.futures import ProcessPoolExecutor
 
     spec = observer.spec() if observer is not None else None
     # config.observer cannot (and need not) cross the pool: the spec does.
@@ -394,7 +412,50 @@ def _run_parallel(
     )
     # Slots keep submission order; each is a BatchItemResult once known.
     slots: List[Optional[BatchItemResult]] = []
-    pending = {}  # future -> (slot index, key)
+    completed: "queue.SimpleQueue" = queue.SimpleQueue()
+    in_flight = 0
+
+    def settle(index: int, result: BatchItemResult) -> None:
+        slots[index] = result
+        _record(result, checkpoint, on_item)
+
+    def drain(block: bool) -> None:
+        nonlocal in_flight
+        while in_flight and (block or not completed.empty()):
+            future, entries = completed.get()
+            in_flight -= 1
+            error = future.exception()
+            if error is not None:
+                # The worker process itself died (OOM, segfault, ...): every
+                # item of its chunk gets the error.
+                for index, key in entries:
+                    settle(index, _pool_error(key, "worker crashed", error))
+                continue
+            for (index, key), data in zip(entries, future.result()):
+                shard = data.pop("observer", None)
+                if observer is not None and shard is not None:
+                    observer.absorb(shard, item=key)
+                settle(index, BatchItemResult(**data))
+
+    def ship(pool, chunk: List[Tuple[int, Tuple]]) -> None:
+        nonlocal in_flight
+        entries = [(index, work[0]) for index, work in chunk]
+        try:
+            future = pool.submit(
+                _worker_run_chunk, [work for _, work in chunk], worker_config, spec
+            )
+        except Exception as error:
+            # A worker died hard enough to break the pool (SIGKILL, OOM):
+            # items not yet submitted still get honest error results
+            # instead of the whole batch raising.
+            for index, key in entries:
+                settle(index, _pool_error(key, "worker pool broken", error))
+            return
+        in_flight += 1
+        future.add_done_callback(lambda finished: completed.put((finished, entries)))
+
+    chunk: List[Tuple[int, Tuple]] = []  # (slot index, worker arguments)
+    chunk_edges = 0
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         for key, thunk in items:
             prior = done.get(key)
@@ -409,52 +470,31 @@ def _run_parallel(
                 _record(loaded, checkpoint, on_item)
                 continue
             payload, load_tries, load_elapsed = loaded
-            index = len(slots)
+            edges = len(payload[4])
+            if edges >= CHUNK_EDGES and chunk:
+                ship(pool, chunk)  # a large graph ships alone
+                chunk, chunk_edges = [], 0
+            chunk.append((len(slots), (key, payload, load_tries, load_elapsed)))
+            chunk_edges += edges
             slots.append(None)
-            try:
-                future = pool.submit(
-                    _worker_run_item,
-                    key,
-                    payload,
-                    worker_config,
-                    load_tries,
-                    load_elapsed,
-                    spec,
-                )
-            except Exception as error:
-                # A worker died hard enough to break the pool (SIGKILL,
-                # OOM): items not yet submitted still get honest error
-                # results instead of the whole batch raising.
-                result = BatchItemResult(
-                    key=key,
-                    status="error",
-                    error=f"worker pool broken: {type(error).__name__}: {error}",
-                )
-                slots[index] = result
-                _record(result, checkpoint, on_item)
-                continue
-            pending[future] = (index, key)
-        while pending:
-            finished, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-            for future in finished:
-                index, item_key = pending.pop(future)
-                error = future.exception()
-                if error is not None:
-                    # The worker process itself died (OOM, segfault, ...).
-                    result = BatchItemResult(
-                        key=item_key,
-                        status="error",
-                        error=f"worker crashed: {type(error).__name__}: {error}",
-                    )
-                else:
-                    data = future.result()
-                    shard = data.pop("observer", None)
-                    result = BatchItemResult(**data)
-                    if observer is not None and shard is not None:
-                        observer.absorb(shard, item=item_key)
-                slots[index] = result
-                _record(result, checkpoint, on_item)
+            drain(block=False)
+            if (
+                len(chunk) >= CHUNK_ITEMS
+                or chunk_edges >= CHUNK_EDGES
+                or in_flight < config.workers
+            ):
+                ship(pool, chunk)
+                chunk, chunk_edges = [], 0
+        if chunk:
+            ship(pool, chunk)
+        drain(block=True)
     report.results.extend(r for r in slots if r is not None)
+
+
+def _pool_error(key: str, what: str, error: BaseException) -> BatchItemResult:
+    return BatchItemResult(
+        key=key, status="error", error=f"{what}: {type(error).__name__}: {error}"
+    )
 
 
 def _load_item(
@@ -524,11 +564,11 @@ def _worker_run_item(
     load_elapsed: float,
     observer_spec: Optional[Dict[str, bool]] = None,
 ) -> Dict[str, Any]:
-    """Process-pool entry point: decode, run the ladder, return plain data.
+    """One item in a pool worker: decode, run the ladder, return plain data.
 
-    Must stay module-level (pickled by reference).  The config is picklable
-    here by construction -- _run_parallel strips the observer (the spec
-    travels instead) and run_batch forces the serial path for fault plans.  Returns the fields of a :class:`BatchItemResult`
+    The config is picklable here by construction -- _run_parallel strips
+    the observer (the spec travels instead) and run_batch forces the serial
+    path for fault plans.  Returns the fields of a :class:`BatchItemResult`
     as a dict -- plus, when a spec was supplied, the ``"observer"`` shard
     snapshot recorded around this one item -- so the parent never unpickles
     custom classes from a possibly-wedged worker.
@@ -554,6 +594,25 @@ def _worker_run_item(
     if shard is not None:
         data["observer"] = shard.shard_snapshot()
     return data
+
+
+def _worker_run_chunk(
+    chunk: List[Tuple[str, Tuple, int, float]],
+    config: AnalysisConfig,
+    observer_spec: Optional[Dict[str, bool]] = None,
+) -> List[Dict[str, Any]]:
+    """Process-pool entry point for a chunk of items.
+
+    Must stay module-level (pickled by reference).  Runs
+    :func:`_worker_run_item` on each ``(key, payload, load_tries,
+    load_elapsed)`` in order and returns its dicts in the same order, so
+    every item keeps its own ``elapsed``, ``tries``, ``paths``, ``error``
+    and observer shard.
+    """
+    return [
+        _worker_run_item(key, payload, config, load_tries, load_elapsed, observer_spec)
+        for key, payload, load_tries, load_elapsed in chunk
+    ]
 
 
 def _run_item(

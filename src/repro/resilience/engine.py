@@ -14,25 +14,35 @@ algorithms -- fast algorithm shipped together with a slow checker -- promoted
 from a test-time oracle to a first-class runtime mechanism.
 
 Postconditions per stage (all independent of the fast algorithms and of
-every fault site in :mod:`repro.resilience.faults`):
+every fault site in :mod:`repro.resilience.faults`).  They read one
+witness per run: the iterative (Cooper-Harvey-Kennedy) dominator and
+postdominator trees of G's own CSR snapshot, each computed on first use,
+and the control-dependence sums read off the postdominator tree.
 
 * **pst** -- node ownership is a partition of the CFG's nodes; every
   canonical region's entry edge dominates its exit edge and the exit edge
   postdominates the entry edge (the Definition-of-SESE dominance
-  conditions); and, for graphs within ``full_check_limit`` edges, the full
-  cycle-equivalence partition is cross-checked against the §3.3
-  bracket-set reference.  Edge dominance needs no edge-split copy: for
-  distinct edges ``a = (u -> v)`` and ``b = (x -> y)``, ``a`` dominates
-  ``b`` iff ``v`` dominates ``x`` and ``a`` is the only in-edge of ``v``
-  from a node ``v`` does not dominate; ``b`` postdominates ``a`` iff ``x``
+  conditions); and the cycle-equivalence classes are checked in full:
+  against the §3.3 bracket-set reference for graphs within
+  ``full_check_limit`` edges, against the edges' control-dependence sums
+  past it.  Edge dominance needs no edge-split copy: for distinct edges
+  ``a = (u -> v)`` and ``b = (x -> y)``, ``a`` dominates ``b`` iff ``v``
+  dominates ``x`` and ``a`` is the only in-edge of ``v`` from a node
+  ``v`` does not dominate; ``b`` postdominates ``a`` iff ``x``
   postdominates ``v`` and ``b`` is the only out-edge of ``x`` to a node
-  ``x`` does not postdominate.  So the check runs iterative dominators
-  twice, forward and reversed, on G's own CSR snapshot.
+  ``x`` does not postdominate.
 * **dominators** -- the Lengauer-Tarjan tree is cross-checked against the
-  independently derived iterative fixpoint (cheap: a couple of O(E) sweeps).
+  witness's iterative dominator tree.
 * **control-regions** -- the groups partition the node set, ``start`` and
-  ``end`` share a group (both are always-executed), and graphs within
-  ``full_check_limit`` edges are cross-checked against the CFS90 baseline.
+  ``end`` share a group (both are always-executed), and the groups are
+  checked in full: against the CFS90 baseline within
+  ``full_check_limit`` edges, against the nodes' control-dependence sums
+  past it.
+
+The sums (:func:`~repro.kernel.dominance.control_dependence_sums`) give
+equal control-dependence sets equal sums, and Theorem 7 makes equal sets
+the classes; so a class the fast path wrongly split is always caught, and
+a wrong merge escapes only on a 64-bit collision.
 
 The fallback ladder per stage is ``fast``, ``fast-retry`` x ``fast_retries``
 (recovers transient faults), then ``slow``.  Slow results pass through the
@@ -53,8 +63,14 @@ from repro.controldep.regions_fast import control_regions
 from repro.core.cycle_equiv import CycleEquivalence, cycle_equivalence_of_cfg
 from repro.core.cycle_equiv_slow import cycle_equivalence_bracket_sets
 from repro.core.pst import ProgramStructureTree, build_pst
-from repro.dominance.iterative import edge_dominance, immediate_dominators
+from repro.dominance.iterative import immediate_dominators, iterative_dominator_indices
 from repro.dominance.lengauer_tarjan import lengauer_tarjan
+from repro.kernel.dominance import (
+    EdgeDominance,
+    control_dependence_sums,
+    idoms_by_node,
+)
+from repro.kernel.registry import shared_frozen
 from repro.config import (
     ALL_ANALYSES,
     DEFAULT_CONFIG,
@@ -402,6 +418,32 @@ def _run_ladders(
 # ----------------------------------------------------------------------
 
 def _build_stages(cfg: CFG, full_check_limit: int):
+    # The iterative (CHK) dominator and postdominator trees, and what the
+    # checks read off them, are computed once per run, on first use, and
+    # shared by every check.  None of it shares code or a fault site with
+    # the fast paths.
+    witness: Dict[str, object] = {}
+
+    def shared(name: str, compute: Callable[[], object]):
+        if name not in witness:
+            witness[name] = compute()
+        return witness[name]
+
+    def dom_tree(ticker) -> List[int]:
+        return shared("idom", lambda: iterative_dominator_indices(cfg, ticker))
+
+    def edge_dom(ticker) -> EdgeDominance:
+        return shared("edge_dom", lambda: EdgeDominance(
+            shared_frozen(cfg),
+            dom_tree(ticker),
+            iterative_dominator_indices(cfg, ticker, reverse=True),
+        ))
+
+    def dependence_sums(ticker) -> Tuple[List[int], List[int]]:
+        return shared(
+            "sums", lambda: control_dependence_sums(edge_dom(ticker), ticker)
+        )
+
     def pst_fast(ticker):
         equiv = cycle_equivalence_of_cfg(cfg, validate=False, ticker=ticker)
         return equiv, build_pst(cfg, equiv, ticker=ticker)
@@ -413,9 +455,19 @@ def _build_stages(cfg: CFG, full_check_limit: int):
     def pst_check(value, cross_check, ticker):
         equiv, pst = value
         _check_pst_structure(cfg, pst)
-        _check_sese_dominance(cfg, pst, ticker)
-        if cross_check and cfg.num_edges <= full_check_limit:
+        _check_sese_dominance(cfg, pst, edge_dom(ticker))
+        if not cross_check:
+            return
+        if cfg.num_edges <= full_check_limit:
             _check_equiv_against_reference(cfg, equiv)
+        else:
+            edges = cfg.edges
+            _check_against_sums(
+                "cycle equivalence",
+                equiv.positional,  # the kernel's classes, by edge index
+                dependence_sums(ticker)[0],
+                lambda e: f"edge {edges[e]!r}",
+            )
 
     def dom_fast(ticker):
         return lengauer_tarjan(cfg, ticker=ticker)
@@ -426,7 +478,7 @@ def _build_stages(cfg: CFG, full_check_limit: int):
     def dom_check(value, cross_check, ticker):
         if not cross_check:
             return  # the iterative fixpoint is the reference
-        reference = immediate_dominators(cfg, ticker=ticker)
+        reference = idoms_by_node(shared_frozen(cfg), dom_tree(ticker))
         if value != reference:
             diffs = [
                 f"{node!r}: fast={value.get(node)!r} reference={reference.get(node)!r}"
@@ -445,13 +497,28 @@ def _build_stages(cfg: CFG, full_check_limit: int):
 
     def cr_check(value, cross_check, ticker):
         _check_control_partition(cfg, value)
-        if cross_check and cfg.num_edges <= full_check_limit:
+        if not cross_check:
+            return
+        if cfg.num_edges <= full_check_limit:
             reference = control_regions_cfs(cfg)
             if value != reference:
                 raise PostconditionError(
                     f"control regions diverge from CFS90 reference: "
                     f"fast={value} reference={reference}"
                 )
+        else:
+            frozen = shared_frozen(cfg)
+            index_of = frozen.index_of
+            labels = [0] * frozen.num_nodes
+            for group_index, group in enumerate(value):
+                for node in group:
+                    labels[index_of[node]] = group_index
+            _check_against_sums(
+                "control regions",
+                labels,
+                dependence_sums(ticker)[1],
+                lambda i: f"node {frozen.node_ids[i]!r}",
+            )
 
     return {
         "pst": (pst_fast, pst_slow, pst_check),
@@ -478,20 +545,16 @@ def _check_pst_structure(cfg: CFG, pst: ProgramStructureTree) -> None:
 
 
 def _check_sese_dominance(
-    cfg: CFG, pst: ProgramStructureTree, ticker: Optional[Ticker]
+    cfg: CFG, pst: ProgramStructureTree, edge_dom: EdgeDominance
 ) -> None:
     """Definition-of-SESE dominance conditions for every canonical region.
 
-    Decided from G's own dominator and postdominator trees
-    (:func:`~repro.dominance.iterative.edge_dominance`): the *iterative*
+    Decided from G's own iterative dominator and postdominator trees
+    (:class:`~repro.kernel.dominance.EdgeDominance`): the *iterative*
     kernel shares no code with the fast path and carries no fault sites.
     Each region costs the degree of its two boundary nodes.
     """
-    regions = pst.canonical_regions()
-    if not regions:
-        return
-    edge_dom = edge_dominance(cfg, ticker=ticker)
-    for region in regions:
+    for region in pst.canonical_regions():
         if not edge_dom.dominates(region.entry, region.exit):
             raise PostconditionError(
                 f"PST: region {region.describe()}: entry does not dominate exit"
@@ -541,6 +604,33 @@ def _check_equiv_against_reference(cfg: CFG, equiv: CycleEquivalence) -> None:
             "cycle-equivalence partition diverges from bracket-set reference: "
             f"fast-only {only_fast} vs reference-only {only_slow} (edge ids)"
         )
+
+
+def _check_against_sums(
+    what: str,
+    labels: Sequence[object],
+    sums: List[int],
+    describe: Callable[[int], str],
+) -> None:
+    """``labels`` must partition the items exactly as ``sums`` do.
+
+    ``sums`` come from
+    :func:`~repro.kernel.dominance.control_dependence_sums`: equal sums
+    mean equal control-dependence sets, which Theorem 7 makes the classes.
+    """
+    sum_of: Dict[object, int] = {}
+    label_of: Dict[int, object] = {}
+    for i, (label, total) in enumerate(zip(labels, sums)):
+        if sum_of.setdefault(label, total) != total:
+            raise PostconditionError(
+                f"{what}: {describe(i)} shares a class with an item of "
+                "another control-dependence set"
+            )
+        if label_of.setdefault(total, label) != label:
+            raise PostconditionError(
+                f"{what}: {describe(i)} is split from an item of the same "
+                "control-dependence set"
+            )
 
 
 def _check_control_partition(cfg: CFG, groups: List[List[NodeId]]) -> None:

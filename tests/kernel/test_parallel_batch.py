@@ -3,7 +3,8 @@
 These tests exercise the real process pool (workers=2), so corpora are kept
 tiny.  Behavioral parity -- same keys, same order, same statuses as the
 serial path -- is the contract; wall-clock speedup is only asserted where
-the host actually has cores to parallelize over.
+the host actually has cores to parallelize over.  How items are chunked
+into futures is counted at ``ProcessPoolExecutor.submit``, never timed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import signal
 import threading
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -24,7 +26,10 @@ from repro.config import AnalysisConfig
 from repro.obs.observer import Observer
 from repro.obs.schema import validate_trace
 from repro.obs.trace import read_jsonl
+from repro.resilience import batch
 from repro.resilience.batch import (
+    CHUNK_EDGES,
+    CHUNK_ITEMS,
     BatchSerialFallback,
     _decode_cfg,
     _encode_cfg,
@@ -62,6 +67,27 @@ def corpus():
 
 def strip(report):
     return [(r.key, r.status, r.paths, r.error) for r in report.results]
+
+
+@pytest.fixture
+def futures(monkeypatch):
+    """The keys each future of a parallel batch carried, in submission order."""
+    shipped = []
+    submit = ProcessPoolExecutor.submit
+
+    def counting_submit(pool, fn, *args, **kwargs):
+        assert fn is batch._worker_run_chunk
+        shipped.append([work[0] for work in args[0]])
+        return submit(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+    return shipped
+
+
+def large_cfg(seed: int) -> CFG:
+    cfg = random_cfg(seed=seed, num_nodes=600, extra_edges=450)
+    assert cfg.num_edges >= CHUNK_EDGES
+    return cfg
 
 
 def test_encode_decode_roundtrip_preserves_structure():
@@ -105,6 +131,42 @@ def test_parallel_on_item_sees_every_fresh_result():
     assert sorted(r.key for r in seen) == sorted(k for k, _ in corpus())
 
 
+def test_small_items_share_futures_and_keep_their_own_results(futures):
+    items = [(f"small.{i}", good_cfg) for i in range(200)]
+    report = run_batch(items, config=AnalysisConfig(retries=0, workers=2))
+    assert len(futures) < len(items)
+    assert all(len(keys) <= CHUNK_ITEMS for keys in futures)
+    # Chunks go out in submission order, and results come back in it.
+    assert [key for keys in futures for key in keys] == [k for k, _ in items]
+    assert [r.key for r in report.results] == [k for k, _ in items]
+    assert {r.status for r in report.results} == {"ok"}
+    # Every item is timed on its own, not billed its chunk's time.
+    elapsed = {r.key: r.elapsed for r in report.results}
+    assert all(value > 0 for value in elapsed.values())
+    for keys in futures:
+        if len(keys) > 1:
+            assert len({elapsed[key] for key in keys}) > 1, keys
+
+
+def test_as_many_small_items_as_workers_ship_one_per_future(futures):
+    items = [(f"small.{i}", good_cfg) for i in range(2)]
+    report = run_batch(items, config=AnalysisConfig(retries=0, workers=2))
+    assert futures == [["small.0"], ["small.1"]]
+    assert [r.status for r in report.results] == ["ok", "ok"]
+
+
+def test_large_items_ship_alone(futures):
+    items = []
+    for i in range(3):
+        items.append((f"large.{i}", lambda s=i: large_cfg(s)))
+        items.extend((f"small.{i}.{j}", good_cfg) for j in range(5))
+    report = run_batch(items, config=AnalysisConfig(retries=0, workers=2))
+    assert [r.key for r in report.results] == [k for k, _ in items]
+    assert all(r.status in ("ok", "degraded") for r in report.results)
+    carrying = [keys for keys in futures if any(k.startswith("large") for k in keys)]
+    assert carrying == [["large.0"], ["large.1"], ["large.2"]]
+
+
 def test_custom_sleep_forces_serial_path_despite_workers():
     # A crasher with retries>0 sleeps between attempts; the recorder only
     # observes those pauses when the serial path runs them in-process.
@@ -144,11 +206,16 @@ def merge_corpus():
     ]
 
 
-def _batch_trace(workers: int):
-    """Run merge_corpus under a full observer; return (report, records, observer)."""
+def chunked_corpus():
+    """merge_corpus twenty times over: enough items that futures carry chunks."""
+    return [(f"{key}.{i}", thunk) for i in range(20) for key, thunk in merge_corpus()]
+
+
+def _batch_trace(workers: int, make_corpus=merge_corpus):
+    """Run a corpus under a full observer; return (report, records, observer)."""
     observer = Observer()
     report = run_batch(
-        merge_corpus(),
+        make_corpus(),
         config=AnalysisConfig(retries=0, workers=workers, observer=observer),
     )
     buffer = io.StringIO()
@@ -161,50 +228,62 @@ def spans_named(records, name):
 
 
 def test_observer_no_longer_forces_serial_and_merge_matches_serial():
-    serial_report, serial_records, serial_obs = _batch_trace(workers=1)
-    with warnings.catch_warnings():
-        # An observer-carrying config must take the parallel path silently.
-        warnings.simplefilter("error", BatchSerialFallback)
-        parallel_report, parallel_records, parallel_obs = _batch_trace(workers=2)
-    assert strip(parallel_report) == strip(serial_report)
-    # The merged trace passes the schema + structural validator...
-    assert validate_trace(parallel_records) == []
-    # ...with one item span per corpus entry that reached the engine, same
-    # as serial.  (Full span-multiset parity would be cache-dependent: cold
-    # worker processes re-freeze structures a warm serial process reuses.)
-    assert len(spans_named(parallel_records, "run_analysis")) == len(
-        spans_named(serial_records, "run_analysis")
-    ) == len(merge_corpus())
-    # And the engine-ladder and batch counters merge to the same totals
-    # the serial registry accumulates in-process.
-    for family in ("engine.attempts", "engine.retries", "batch.items"):
-        assert parallel_obs.metrics.counts_matching(
-            family
-        ) == serial_obs.metrics.counts_matching(family)
+    for make_corpus in (merge_corpus, chunked_corpus):
+        serial_report, serial_records, serial_obs = _batch_trace(1, make_corpus)
+        with warnings.catch_warnings():
+            # An observer-carrying config must take the parallel path silently.
+            warnings.simplefilter("error", BatchSerialFallback)
+            parallel_report, parallel_records, parallel_obs = _batch_trace(
+                2, make_corpus
+            )
+        assert strip(parallel_report) == strip(serial_report)
+        # The merged trace passes the schema + structural validator...
+        assert validate_trace(parallel_records) == []
+        # ...with one item span per corpus entry that reached the engine,
+        # same as serial.  (Full span-multiset parity would be cache-
+        # dependent: cold worker processes re-freeze structures a warm
+        # serial process reuses.)
+        assert len(spans_named(parallel_records, "run_analysis")) == len(
+            spans_named(serial_records, "run_analysis")
+        ) == len(make_corpus())
+        # And the engine-ladder and batch counters merge to the same totals
+        # the serial registry accumulates in-process.
+        for family in ("engine.attempts", "engine.retries", "batch.items"):
+            assert parallel_obs.metrics.counts_matching(
+                family
+            ) == serial_obs.metrics.counts_matching(family)
 
 
-def test_parallel_worker_spans_stitch_under_the_batch_span():
-    _, records, _ = _batch_trace(workers=2)
-    spans = [r for r in records if r["type"] == "span"]
-    batch_spans = [s for s in spans if s["name"] == "run_batch"]
-    assert len(batch_spans) == 1
-    assert batch_spans[0]["attrs"]["parallel"] is True
-    roots = [s for s in spans if s["name"] == "run_analysis"]
-    assert roots  # the engine ran in workers, yet its spans are here
-    for root in roots:
-        assert root["parent"] == batch_spans[0]["span"]
-        assert root["attrs"]["item"] in {k for k, _ in merge_corpus()}
-        assert isinstance(root["attrs"]["worker_pid"], int)
-    # Worker shards really were recorded out-of-process.
-    assert any(s["attrs"]["worker_pid"] != os.getpid() for s in roots)
+def test_parallel_worker_spans_stitch_under_the_batch_span(futures):
+    for make_corpus in (merge_corpus, chunked_corpus):
+        futures.clear()
+        _, records, _ = _batch_trace(2, make_corpus)
+        spans = [r for r in records if r["type"] == "span"]
+        batch_spans = [s for s in spans if s["name"] == "run_batch"]
+        assert len(batch_spans) == 1
+        assert batch_spans[0]["attrs"]["parallel"] is True
+        roots = [s for s in spans if s["name"] == "run_analysis"]
+        assert roots  # the engine ran in workers, yet its spans are here
+        for root in roots:
+            assert root["parent"] == batch_spans[0]["span"]
+            assert isinstance(root["attrs"]["worker_pid"], int)
+        # One shard per item, stamped with its own key, also when a future
+        # carried a chunk of items.
+        assert sorted(root["attrs"]["item"] for root in roots) == sorted(
+            k for k, _ in make_corpus()
+        )
+        # Worker shards really were recorded out-of-process.
+        assert any(s["attrs"]["worker_pid"] != os.getpid() for s in roots)
+    assert any(len(keys) > 1 for keys in futures)
 
 
 def test_parallel_histograms_merge_counts_across_shards():
-    _, _, observer = _batch_trace(workers=2)
-    histograms = observer.metrics.snapshot()["histograms"]
-    # All three items (the two good CFGs and the invalid one) reach
-    # run_analysis, each timed inside its worker's shard.
-    assert histograms["engine.run_seconds"]["count"] == len(merge_corpus())
+    for make_corpus in (merge_corpus, chunked_corpus):
+        _, _, observer = _batch_trace(2, make_corpus)
+        histograms = observer.metrics.snapshot()["histograms"]
+        # Every item (good CFGs and invalid ones alike) reaches
+        # run_analysis, each timed inside its worker's shard.
+        assert histograms["engine.run_seconds"]["count"] == len(make_corpus())
 
 
 def test_worker_killed_mid_item_still_reports_every_item():

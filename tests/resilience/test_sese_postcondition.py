@@ -36,12 +36,13 @@ def split_trees(cfg, ticker=None):
     return split_node, dom, pdom
 
 
-def split_graph_check(cfg, pst, ticker):
-    """Definition 2 per canonical region, on the edge-split graph."""
+def split_graph_check(cfg, pst, edge_dom):
+    """Definition 2 per canonical region, on the edge-split graph (the
+    engine's own ``edge_dom`` trees are ignored)."""
     regions = pst.canonical_regions()
     if not regions:
         return
-    split_node, dom, pdom = split_trees(cfg, ticker)
+    split_node, dom, pdom = split_trees(cfg)
     for region in regions:
         a, b = split_node[region.entry], split_node[region.exit]
         if not dom.dominates(a, b):
@@ -95,9 +96,10 @@ def faulted_trail(site, seed):
 
 @pytest.mark.parametrize("site", ENGINE_SITES)
 def test_fault_corrupted_psts_get_the_split_graph_verdict(site, monkeypatch):
-    # full_check_limit=0 leaves the structure and dominance checks as the
-    # only guards on a corrupted PST; both checks must reject the same
-    # attempts with the same message and let the same PST through.
+    # full_check_limit=0 swaps the bracket-set cross-check for the
+    # control-dependence sums, which run after the structure and dominance
+    # checks; both dominance checks must reject the same attempts with the
+    # same message and let the same PST through to the sums.
     seeds = range(150)
     ours = [faulted_trail(site, seed) for seed in seeds]
     monkeypatch.setattr(engine, "_check_sese_dominance", split_graph_check)
@@ -119,11 +121,13 @@ def test_graph_past_the_full_check_limit_is_checked_by_dominance_alone():
     observer = Observer(trace=False)
     clean = run_analysis(cfg, config=AnalysisConfig(observer=observer))
     assert clean.ok and not clean.degraded
-    # Two iterative runs check the PST (forward and reversed), one checks
-    # the Lengauer-Tarjan tree.
+    # Past the limit no reference runs.  Two iterative runs (forward and
+    # reversed) serve every check: the PST's dominance check, the
+    # Lengauer-Tarjan cross-check, and the control-dependence sums that
+    # check both stages' classes.
     assert observer.metrics.count_of(
         "dispatch", component="immediate_dominators", impl="kernel"
-    ) == 3.0
+    ) == 2.0
 
     faulted = run_analysis(
         cfg,
