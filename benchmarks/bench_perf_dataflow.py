@@ -35,9 +35,14 @@ def test_p5_sparse_variable_instances(benchmark, procedures, psts):
             for var in proc.variables()[:5]:
                 solve_iterative(proc.cfg, VariableReachingDefs(proc, var))
 
-    iterative_times, _ = sample(run_iterative, repeats=3)
+    # Alternate the two series, so a slow spell of the host slows both
+    # rather than skewing their ratio.
+    iterative_times, qpg_times = [], []
+    for _ in range(5):
+        iterative_times += sample(run_iterative, repeats=1)[0]
+        qpg_times += sample(run_qpg, repeats=1)[0]
     iterative_t = min(iterative_times)
-    qpg_times, _ = sample(run_qpg, repeats=3)
+    qpg_t = min(qpg_times)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     # correctness spot-check on a few instances
@@ -50,6 +55,8 @@ def test_p5_sparse_variable_instances(benchmark, procedures, psts):
         "Experiment P5(a) -- sparse per-variable reaching defs over "
         f"{len(pairs)} procedures x 5 variables\n"
         f"whole-graph iterative: {1000*iterative_t:.1f} ms\n"
+        f"QPG (given the PST):   {1000*qpg_t:.1f} ms\n"
+        f"QPG / whole-graph:     {qpg_t / iterative_t:.2f}\n"
     )
     print("\n" + text)
     write_result("p5_sparse_dataflow", text)

@@ -53,7 +53,7 @@ class ProgramStructureTree:
         for region in [root] + canonical:
             for node in region.own_nodes:
                 self.region_of_node[node] = region
-        self._edges_by_level: Optional[Dict[int, List[Edge]]] = None
+        self._layout: Optional[PSTLayout] = None
         self._collapsed_cache: Dict[int, Tuple[CFG, Dict[Edge, Edge]]] = {}
 
     # ------------------------------------------------------------------
@@ -112,17 +112,19 @@ class ProgramStructureTree:
     # ------------------------------------------------------------------
     # collapsed views (divide and conquer substrate)
     # ------------------------------------------------------------------
-    def level_edges(self, region: SESERegion) -> List[Edge]:
-        """Edges whose innermost level is ``region`` (see :meth:`edge_level`).
+    def layout(self) -> "PSTLayout":
+        """The tree flattened into preorder-indexed lists (see
+        :class:`PSTLayout`), built in one pass over the regions and one over
+        the CFG's edges and cached until the tree changes."""
+        if self._layout is None:
+            self._layout = PSTLayout(self)
+        return self._layout
 
-        Computed for all regions in one pass over the CFG's edges and cached.
-        """
-        if self._edges_by_level is None:
-            self._edges_by_level = {}
-            for edge in self.cfg.edges:
-                level = self.edge_level(edge)
-                self._edges_by_level.setdefault(level.region_id, []).append(edge)
-        return self._edges_by_level.get(region.region_id, [])
+    def level_edges(self, region: SESERegion) -> List[Edge]:
+        """Edges whose innermost level is ``region`` (see :meth:`edge_level`),
+        in CFG edge order."""
+        layout = self.layout()
+        return [edge for edge, _, _ in layout.level[layout.position[region]]]
 
     def collapsed_cfg(self, region: SESERegion) -> Tuple[CFG, Dict[Edge, Edge]]:
         """``region`` as a standalone CFG with children collapsed.
@@ -191,6 +193,87 @@ class ProgramStructureTree:
     def __len__(self) -> int:
         """Number of canonical regions."""
         return len(self.canonical_regions())
+
+
+class PSTLayout:
+    """A :class:`ProgramStructureTree` flattened into lists indexed by each
+    region's position in preorder (the root is position 0).
+
+    * ``regions[i]`` is the region at position ``i``, ``position`` the
+      inverse, and ``parent[i]`` the position of its parent (-1 for the
+      root);
+    * ``region_at`` maps each node to the position of its innermost region;
+    * ``nodes`` holds every node once, each region's own nodes followed by
+      its children's subtrees, so region ``i`` holds ``nodes[lo[i]:hi[i]]``
+      and owns ``nodes[lo[i]:own_hi[i]]``;
+    * ``level[i]`` lists the edges at region ``i``'s level
+      (:meth:`ProgramStructureTree.edge_level`) as ``(edge, entered,
+      exited)``, the positions of the child regions the edge enters and
+      exits (-1 for none);
+    * ``exit_next[i]`` is the position of the region that region ``i``'s
+      exit edge enters (-1 for none, and for the root).
+    """
+
+    __slots__ = (
+        "regions", "position", "parent", "region_at", "nodes", "lo", "own_hi",
+        "hi", "level", "exit_next",
+    )
+
+    def __init__(self, pst: ProgramStructureTree):
+        regions = pst.regions()
+        count = len(regions)
+        position = {region: i for i, region in enumerate(regions)}
+        parent = [-1] * count
+        lo = [0] * count
+        own_hi = [0] * count
+        region_at: Dict[NodeId, int] = {}
+        nodes: List[NodeId] = []
+        for i, region in enumerate(regions):
+            if i:
+                parent[i] = position[region.parent]
+            lo[i] = len(nodes)
+            nodes.extend(region.own_nodes)
+            own_hi[i] = len(nodes)
+            region_at.update(dict.fromkeys(region.own_nodes, i))
+        # A region's subtree follows it in preorder, so its interior ends
+        # where its last child's does.
+        hi = own_hi[:]
+        for i in range(count - 1, -1, -1):
+            children = regions[i].children
+            if children:
+                hi[i] = hi[position[children[-1]]]
+
+        entry_region = pst.entry_region
+        exit_region = pst.exit_region
+        level: List[List[Tuple[Edge, int, int]]] = [[] for _ in range(count)]
+        for edge in pst.cfg.edges:
+            into = entry_region.get(edge)
+            out = exit_region.get(edge)
+            entered = -1 if into is None else position[into]
+            exited = -1 if out is None else position[out]
+            if entered >= 0:
+                at = parent[entered]
+            elif exited >= 0:
+                at = parent[exited]
+            else:
+                at = region_at[edge.source]
+            level[at].append((edge, entered, exited))
+        exit_next = [-1] * count
+        for i in range(1, count):
+            into = entry_region.get(regions[i].exit)
+            if into is not None:
+                exit_next[i] = position[into]
+
+        self.regions = regions
+        self.position = position
+        self.parent = parent
+        self.region_at = region_at
+        self.nodes = nodes
+        self.lo = lo
+        self.own_hi = own_hi
+        self.hi = hi
+        self.level = level
+        self.exit_next = exit_next
 
 
 def build_pst(

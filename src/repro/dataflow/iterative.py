@@ -15,11 +15,7 @@ from typing import Dict, Optional, Set
 from repro.cfg.graph import CFG, NodeId
 from repro.cfg.traversal import reverse_postorder
 from repro.dataflow.framework import BACKWARD, DataflowProblem, Solution
-from repro.kernel.dataflow import (
-    genkill_solver_compatible,
-    kernel_solve_iterative,
-    packed_solve_genkill,
-)
+from repro.kernel.dataflow import kernel_solver
 from repro.kernel.registry import shared_frozen
 from repro.obs import observer as _obs
 from repro.resilience.guards import TICK_CHUNK, Ticker
@@ -45,11 +41,7 @@ def solve_iterative(
     """
     if (cfg.end if problem.direction == BACKWARD else cfg.start) is None:
         return solve_iterative_reference(cfg, problem, ticker)
-    solver = (
-        packed_solve_genkill
-        if genkill_solver_compatible(problem)
-        else kernel_solve_iterative
-    )
+    solver = kernel_solver(problem)
     return _obs.dispatch(
         "solve_iterative", "kernel", cfg, _solve_kernel, solver, cfg, problem, ticker
     )

@@ -173,3 +173,6 @@ class VariableReachingDefs(GenKillProblem):
 
     def kill(self, node: NodeId) -> FrozenSet:
         return (self._universe - {node}) if node in self._def_blocks else frozenset()
+
+    def is_identity(self, node: NodeId) -> bool:
+        return node not in self._def_blocks

@@ -26,8 +26,10 @@ CSR kernels           every array kernel vs its retained object-graph
                       reference, exact (identical ids and shapes, not
                       just equal partitions), including the RD / LV / AE
                       dataflow fixpoints
-dataflow              iterative fixpoint vs PST elimination vs QPG
-                      sparse solve, for RD / LV / AE
+dataflow              the object-graph iterative fixpoint vs PST
+                      elimination vs QPG sparse solve, for RD / LV / AE
+                      and every variable's reaching definitions; vs the
+                      QPG alone for constant propagation
 φ-placement           iterated dominance frontiers vs PST placement
 resilience            the guarded engine under persistent fault
                       injection at every site vs the clean verified run
@@ -59,12 +61,15 @@ from repro.core.sese import canonical_sese_regions
 from repro.controldep.fow import control_regions_by_definition
 from repro.controldep.regions_cfs import control_regions_cfs
 from repro.controldep.regions_fast import control_regions, control_regions_reference
+from repro.dataflow.constprop import ConstantPropagation
 from repro.dataflow.elimination import solve_elimination
+from repro.dataflow.framework import GenKillProblem
 from repro.dataflow.iterative import solve_iterative, solve_iterative_reference
 from repro.dataflow.problems import (
     AvailableExpressions,
     LiveVariables,
     ReachingDefinitions,
+    VariableReachingDefs,
 )
 from repro.dataflow.qpg import solve_qpg
 from repro.dominance.iterative import (
@@ -410,25 +415,33 @@ def _diff_solutions(a, b, la: str, lb: str, nodes) -> Optional[str]:
 
 
 def _check_dataflow(case: FuzzCase) -> Optional[str]:
+    """The QPG and PST elimination (gen/kill problems only) against the
+    object-graph reference, which shares no code with the packed and
+    generic kernels the QPG solves its rows with, on RD / LV / AE, every
+    variable's reaching definitions and constant propagation."""
     proc = case.proc
-    pst = build_pst(proc.cfg)
-    for problem_cls in (ReachingDefinitions, LiveVariables, AvailableExpressions):
-        problem = problem_cls(proc)
-        iterative = solve_iterative(proc.cfg, problem)
-        elimination = solve_elimination(proc.cfg, problem, pst)
-        diff = _diff_solutions(
-            iterative, elimination, "iterative", f"elimination[{problem_cls.__name__}]",
-            proc.cfg.nodes,
-        )
-        if diff:
-            return diff
-        sparse = solve_qpg(proc.cfg, problem, pst).solution
-        diff = _diff_solutions(
-            iterative, sparse, "iterative", f"qpg[{problem_cls.__name__}]",
-            proc.cfg.nodes,
-        )
-        if diff:
-            return diff
+    cfg = proc.cfg
+    pst = build_pst(cfg)
+    problems = [
+        (problem_cls.__name__, problem_cls(proc))
+        for problem_cls in (ReachingDefinitions, LiveVariables, AvailableExpressions)
+    ]
+    problems += [
+        (f"VariableReachingDefs({var!r})", VariableReachingDefs(proc, var))
+        for var in proc.variables()
+    ]
+    problems.append(("ConstantPropagation", ConstantPropagation(proc)))
+    for name, problem in problems:
+        reference = solve_iterative_reference(cfg, problem)
+        solved = [("qpg", solve_qpg(cfg, problem, pst).solution)]
+        if isinstance(problem, GenKillProblem):
+            solved.append(("elimination", solve_elimination(cfg, problem, pst)))
+        for solver, solution in solved:
+            diff = _diff_solutions(
+                reference, solution, "reference", f"{solver}[{name}]", cfg.nodes
+            )
+            if diff:
+                return diff
     return None
 
 

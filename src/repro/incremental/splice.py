@@ -275,5 +275,5 @@ def splice_region(
     # canonical, so the tree is the authority and the flat list can be
     # rebuilt lazily (ProgramStructureTree.canonical_regions).
     pst._canonical = None
-    pst._edges_by_level = None
+    pst._layout = None
     pst._collapsed_cache.clear()

@@ -174,17 +174,23 @@ class LoweredProcedure:
     def defs_of(self, var: str) -> List[NodeId]:
         """Blocks containing at least one definition of ``var``."""
         out: List[NodeId] = []
+        blocks = self.blocks
         for node in self.cfg.nodes:
-            if any(stmt.target == var for stmt in self.blocks.get(node, [])):
-                out.append(node)
+            for stmt in blocks.get(node, ()):
+                if stmt.target == var:
+                    out.append(node)
+                    break
         return out
 
     def uses_of(self, var: str) -> List[NodeId]:
         """Blocks containing at least one use of ``var``."""
         out: List[NodeId] = []
+        blocks = self.blocks
         for node in self.cfg.nodes:
-            if any(var in stmt.uses for stmt in self.blocks.get(node, [])):
-                out.append(node)
+            for stmt in blocks.get(node, ()):
+                if var in stmt.uses:
+                    out.append(node)
+                    break
         return out
 
     def num_statements(self) -> int:

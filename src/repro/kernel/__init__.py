@@ -16,7 +16,9 @@ time bounds in Python.  This package provides the compact counterpart:
   stock gen/kill problems), which the public entry points in
   :mod:`repro.core.cycle_equiv`, :mod:`repro.dominance.lengauer_tarjan`,
   and :mod:`repro.dataflow.iterative` run by default (the object-graph
-  implementations are retained as reference oracles).
+  implementations are retained as reference oracles).  The two dataflow
+  kernels also solve :mod:`repro.dataflow.qpg`'s quick propagation graphs,
+  which are CSR rows of the same shape.
 * :func:`~repro.kernel.registry.shared_frozen` -- the graph's one
   snapshot, kept on the graph and re-frozen only after a mutation.
 * :class:`~repro.kernel.session.AnalysisSession` -- a per-graph memo of

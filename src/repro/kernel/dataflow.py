@@ -1,9 +1,15 @@
-"""Array-based iterative worklist solvers over CSR snapshots.
+"""Array-based iterative worklist solvers over CSR rows.
 
 Mirrors :func:`repro.dataflow.iterative.solve_iterative_reference` with the
 worklist, pending set, and per-node values all indexed by dense node ints.
-Backward problems run directly over the predecessor CSR rows (the snapshot
-doubles as the reverse graph), so no ``cfg.reversed()`` copy is ever built.
+Backward problems run directly over the predecessor CSR rows (the rows
+double as the reverse graph), so no ``cfg.reversed()`` copy is ever built.
+
+The rows are a :class:`~repro.kernel.csr.FrozenCFG` snapshot of a whole CFG
+or a :class:`~repro.dataflow.qpg.QPGRows` quick propagation graph: the
+solvers read only ``num_nodes``, ``node_ids``, ``start``, ``end`` and the
+``succ_off``/``succ_dst`` and ``pred_off``/``pred_src`` rows, which both
+provide.
 
 Two solvers share that traversal:
 
@@ -18,33 +24,32 @@ Two solvers share that traversal:
   chain of ``|`` or ``&``.  The packing is a bijection, so the fixpoint
   decodes to exactly the frozensets the generic solver computes.
 
-:func:`genkill_solver_compatible` decides which of the two a problem gets,
-from the problem's type alone.
+:func:`kernel_solver` decides which of the two a problem gets, from the
+problem's type alone.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dataflow.framework import BACKWARD, DataflowProblem, GenKillProblem, Solution
-from repro.kernel.csr import FrozenCFG
 from repro.resilience.guards import TICK_CHUNK, Ticker
 
 
-def _rows(frozen: FrozenCFG, backward: bool) -> Tuple[int, list, list, list, list]:
+def _directed(rows, backward: bool) -> Tuple[int, list, list, list, list]:
     """``(root, succ_off, succ_dst, pred_off, pred_src)`` in the solving
     direction; raises ``KeyError`` when that direction has no root."""
     if backward:
-        rows = (frozen.end, frozen.pred_off, frozen.pred_src, frozen.succ_off, frozen.succ_dst)
+        out = (rows.end, rows.pred_off, rows.pred_src, rows.succ_off, rows.succ_dst)
     else:
-        rows = (frozen.start, frozen.succ_off, frozen.succ_dst, frozen.pred_off, frozen.pred_src)
-    if rows[0] < 0:
+        out = (rows.start, rows.succ_off, rows.succ_dst, rows.pred_off, rows.pred_src)
+    if out[0] < 0:
         raise KeyError(
-            f"CFG {frozen.cfg.name!r} has no {'end' if backward else 'start'} "
-            "node; the iterative solver needs a root in the solving direction"
+            f"the rows have no {'end' if backward else 'start'} node; the "
+            "iterative solver needs a root in the solving direction"
         )
-    return rows
+    return out
 
 
 def _seed_order(
@@ -86,19 +91,19 @@ def _solution(node_ids: list, entry: list, exit_: list, backward: bool) -> Solut
 
 
 def kernel_solve_iterative(
-    frozen: FrozenCFG, problem: DataflowProblem, ticker: Optional[Ticker] = None
+    rows, problem: DataflowProblem, ticker: Optional[Ticker] = None
 ) -> Solution:
-    """Solve ``problem`` over the snapshot to its maximal fixpoint.
+    """Solve ``problem`` over the CSR ``rows`` to its maximal fixpoint.
 
     Same contract and ticker billing (one step per worklist pop, batched in
     :data:`~repro.resilience.guards.TICK_CHUNK`) as the object-graph
     reference.  Requires the root in the solving direction (``start``, or
-    ``end`` for backward problems) to be present in the snapshot.
+    ``end`` for backward problems) to be present in the rows.
     """
     backward = problem.direction == BACKWARD
-    n = frozen.num_nodes
-    root, succ_off, succ_dst, pred_off, pred_src = _rows(frozen, backward)
-    node_ids = frozen.node_ids
+    n = rows.num_nodes
+    root, succ_off, succ_dst, pred_off, pred_src = _directed(rows, backward)
+    node_ids = rows.node_ids
     transfer = problem.transfer
     meet = problem.meet
 
@@ -156,30 +161,10 @@ def kernel_solve_iterative(
     return _solution(node_ids, entry, exit_, backward)
 
 
-def genkill_solver_compatible(problem: DataflowProblem) -> bool:
-    """True iff ``problem`` is a :class:`GenKillProblem` that
-    :func:`packed_solve_genkill` may solve in place of the generic solver.
-
-    A subclass that overrides any of the framework-implemented methods
-    (``transfer``/``meet``/``boundary``/``top``) could diverge from the
-    closed gen/kill form the bit packing assumes, so only the stock
-    implementations qualify.
-    """
-    if not isinstance(problem, GenKillProblem):
-        return False
-    cls = type(problem)
-    return (
-        cls.transfer is GenKillProblem.transfer
-        and cls.meet is GenKillProblem.meet
-        and cls.boundary is GenKillProblem.boundary
-        and cls.top is GenKillProblem.top
-    )
-
-
 def packed_solve_genkill(
-    frozen: FrozenCFG, problem: GenKillProblem, ticker: Optional[Ticker] = None
+    rows, problem: GenKillProblem, ticker: Optional[Ticker] = None
 ) -> Solution:
-    """Packed bit-row worklist solve of a stock gen/kill problem.
+    """Packed bit-row worklist solve of a stock gen/kill problem over ``rows``.
 
     Same traversal, ticker billing (one step per pop) and ``Solution``
     shape as :func:`kernel_solve_iterative`; the lattice values change
@@ -188,9 +173,9 @@ def packed_solve_genkill(
     bijection, so the fixpoint is identical.
     """
     backward = problem.direction == BACKWARD
-    n = frozen.num_nodes
-    root, succ_off, succ_dst, pred_off, pred_src = _rows(frozen, backward)
-    node_ids = frozen.node_ids
+    n = rows.num_nodes
+    root, succ_off, succ_dst, pred_off, pred_src = _directed(rows, backward)
+    node_ids = rows.node_ids
 
     # One bit per fact.  The index covers the universe plus any stray
     # facts a problem's gen/kill sets mention beyond it, so packing never
@@ -291,3 +276,25 @@ def packed_solve_genkill(
     return _solution(
         node_ids, [decode(b) for b in entry], [decode(b) for b in exit_], backward
     )
+
+
+def kernel_solver(problem: DataflowProblem) -> Callable[..., Solution]:
+    """The kernel that solves ``problem``: :func:`packed_solve_genkill` for
+    a stock :class:`GenKillProblem`, :func:`kernel_solve_iterative` for
+    everything else.
+
+    A subclass that overrides any of the framework-implemented methods
+    (``transfer``/``meet``/``boundary``/``top``) could diverge from the
+    closed gen/kill form the bit packing assumes, so only the stock
+    implementations get the packed solver.
+    """
+    if isinstance(problem, GenKillProblem):
+        cls = type(problem)
+        if (
+            cls.transfer is GenKillProblem.transfer
+            and cls.meet is GenKillProblem.meet
+            and cls.boundary is GenKillProblem.boundary
+            and cls.top is GenKillProblem.top
+        ):
+            return packed_solve_genkill
+    return kernel_solve_iterative

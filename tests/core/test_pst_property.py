@@ -93,6 +93,32 @@ def test_collapsed_views_cover_every_edge_once(cfg):
 
 @settings(max_examples=100, deadline=None)
 @given(valid_cfgs())
+def test_layout_slices_and_level_records_match_the_tree(cfg):
+    """Each region's interior is one slice of the preorder layout, and each
+    level record names the children its edge enters and exits."""
+    pst = build_pst(cfg)
+    layout = pst.layout()
+
+    def at(position):
+        return layout.regions[position] if position >= 0 else None
+
+    assert layout.regions == pst.regions()
+    for i, region in enumerate(layout.regions):
+        assert layout.nodes[layout.lo[i]:layout.own_hi[i]] == region.own_nodes
+        assert sorted(map(repr, layout.nodes[layout.lo[i]:layout.hi[i]])) == sorted(
+            map(repr, region.nodes())
+        )
+        for edge, entered, exited in layout.level[i]:
+            assert pst.edge_level(edge) is region
+            assert at(entered) is pst.entry_region.get(edge)
+            assert at(exited) is pst.exit_region.get(edge)
+        if i:
+            assert at(layout.parent[i]) is region.parent
+            assert at(layout.exit_next[i]) is pst.entry_region.get(region.exit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_cfgs())
 def test_collapsed_views_are_valid_cfgs(cfg):
     pst = build_pst(cfg)
     for region in pst.regions():
