@@ -7,9 +7,10 @@ parallel, and writes machine-readable JSON under ``benchmarks/results/``
 without needing pytest.
 
 The headline number per component is the *ratio* kernel/reference (of the
-best wall-clock over ``--repeats`` runs).  Ratios are measured within one
-process on one host, so they are stable across machines in a way absolute
-times are not; the CI perf-smoke job compares them against the checked-in
+best wall-clock over ``--repeats`` runs, the kernel and the reference
+taking turns).  Ratios are measured within one process on one host, so
+they are stable across machines in a way absolute times are not; the CI
+perf-smoke job compares them against the checked-in
 ``perf_smoke_baseline.json`` and fails on a >25% regression
 (``--check``/``--tolerance``).
 """
@@ -33,17 +34,24 @@ DEFAULT_REPEATS = 5
 DEFAULT_OUT = os.path.join("benchmarks", "results")
 
 
-def _sample(fn: Callable[[], object], repeats: int) -> List[float]:
-    """Wall-clock seconds for ``repeats`` runs, with warmup and GC paused."""
-    fn()  # warmup
-    times: List[float] = []
+def _sample(*fns: Callable[[], object], repeats: int) -> List[List[float]]:
+    """Wall-clock seconds for ``repeats`` runs of each of ``fns``.
+
+    One warmup each, GC paused, and the functions take turns within every
+    round, so a spell of host slowness lands on all of them instead of on
+    one side of a ratio.
+    """
+    for fn in fns:
+        fn()  # warmup
+    times: List[List[float]] = [[] for _ in fns]
     enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(repeats):
-            started = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - started)
+            for fn, series in zip(fns, times):
+                started = time.perf_counter()
+                fn()
+                series.append(time.perf_counter() - started)
     finally:
         if enabled:
             gc.enable()
@@ -129,8 +137,9 @@ def run_kernel_bench(sizes: List[int], repeats: int, seed: int = 42) -> Dict[str
     for name, (fast, reference) in _components().items():
         series = []
         for statements, ctx in graphs:
-            kernel_times = _sample(lambda: fast(ctx), repeats)
-            reference_times = _sample(lambda: reference(ctx), repeats)
+            kernel_times, reference_times = _sample(
+                lambda: fast(ctx), lambda: reference(ctx), repeats=repeats
+            )
             cfg = ctx["cfg"]
             series.append(
                 {
@@ -220,7 +229,7 @@ def run_incremental_bench(
         equiv.class_of  # materialize: the session pays this cost too
         build_pst(cfg, equiv)
 
-    scratch_times = _sample(scratch, 5)
+    (scratch_times,) = _sample(scratch, repeats=5)
 
     session = EditSession(cfg)
     rng = _random.Random(seed)

@@ -81,12 +81,24 @@ def _reach(n: int, off: List[int], dst: List[int], root: int) -> bytearray:
 
 
 def validate_cfg(cfg: CFG) -> CFG:
-    """Raise :class:`InvalidCFGError` if ``cfg`` violates Definition 1."""
+    """Raise :class:`InvalidCFGError` if ``cfg`` violates Definition 1.
+
+    Each CSR snapshot is checked once: a graph that passes has its current
+    snapshot marked ``validated``, and validating it again before it
+    changes returns at once (the resilience engine's input check reads
+    the same mark).  An invalid graph is never marked.
+    """
+    from repro.kernel.registry import shared_frozen
+
+    frozen = shared_frozen(cfg)
+    if frozen.validated:
+        return cfg
     problems = check_cfg(cfg)
     if problems:
         raise InvalidCFGError(
             f"invalid CFG {cfg.name!r}: " + "; ".join(problems)
         )
+    frozen.validated = True
     return cfg
 
 

@@ -5,7 +5,8 @@
   definitional oracle.
 * :mod:`repro.controldep.regions_fast` -- the paper's O(E) control-region
   algorithm: node cycle equivalence in ``G + (end -> start)`` via the
-  node-expansion transformation (Theorems 7 & 8).
+  node-expansion transformation (Theorems 7 & 8), applied only to the
+  nodes that need it.
 * :mod:`repro.controldep.regions_cfs` -- the Cytron-Ferrante-Sarkar O(EN)
   partition-refinement baseline the paper improves upon.
 """

@@ -10,12 +10,23 @@ Theorem 8: node cycle equivalence in a strongly connected graph reduces to
 
 Composing the two with the Figure 4 algorithm yields control regions in
 linear time -- previous algorithms were O(EN) (CFS90) or restricted to
-reducible graphs (Ball).  The paper notes an implementation that avoids
-materializing ``T(S)``; we build it explicitly for clarity (it is linear in
-size: ``2N`` nodes and ``N + E`` edges).  The computation stays linear, but
-here it does not undercut dominator computation: at 4,783 nodes
-(``benchmarks/results/p2_control_regions.txt``) it takes 23.4 ms, 8.4x
-faster than the CFS90 refinement and 2.7x slower than Lengauer-Tarjan.
+reducible graphs (Ball).  The paper notes that ``T(S)`` need not be built.
+The kernel builds only the part that matters: a node with one in-edge or
+one out-edge in ``S`` lies on exactly that edge's cycles, so only nodes
+with several of each are split (``S'``, see
+:func:`~repro.kernel.cycle_equiv.kernel_control_region_classes`).  When no
+node needs a split (every lowered procedure and most real graphs),
+``S' = S``, and given the cycle equivalence the PST was built from, the
+node classes are read off it with no second Figure 4 pass.
+
+Whether this beats dominator computation depends on that path
+(``benchmarks/results/p2_control_regions.txt``, three runs at 4,783
+nodes on a 2-CPU host): the standalone call, which runs its own Figure 4
+pass, took 11.9-15.0 ms against 8.8-13.0 ms for Lengauer-Tarjan, about
+as fast, not faster; given the PST's classes it took 3.0-4.8 ms, 0.23 to
+0.55 of Lengauer-Tarjan.  Either way it is 14-19x faster than the CFS90
+refinement at that size.  :func:`control_regions_reference` keeps the
+full ``T(S)`` as the oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cfg.graph import CFG, Edge, InvalidCFGError, NodeId
 from repro.cfg.validate import validate_cfg
-from repro.core.cycle_equiv import cycle_equivalence_scc
+from repro.core.cycle_equiv import CycleEquivalence, cycle_equivalence_scc
 from repro.kernel.cycle_equiv import kernel_control_region_classes
 from repro.kernel.registry import shared_frozen
 from repro.obs import observer as _obs
@@ -59,7 +70,10 @@ def node_cycle_equivalence(graph: CFG, root: Optional[NodeId] = None) -> Dict[No
 
 
 def control_regions(
-    cfg: CFG, validate: bool = True, ticker: Optional[Ticker] = None
+    cfg: CFG,
+    validate: bool = True,
+    ticker: Optional[Ticker] = None,
+    equiv: Optional[CycleEquivalence] = None,
 ) -> List[List[NodeId]]:
     """Control regions of ``cfg`` in O(E) time (the paper's algorithm).
 
@@ -69,25 +83,37 @@ def control_regions(
 
     Runs the array kernel
     (:func:`repro.kernel.cycle_equiv.kernel_control_region_classes`), which
-    builds the node expansion directly in CSR form -- the implementation the
-    paper alludes to that never materializes ``T(S)`` as a graph.
-    :func:`control_regions_reference` is the retained object-graph path.
+    splits only the nodes with several in-edges and several out-edges and
+    never builds ``T(S)``.  ``equiv`` may carry the cycle equivalence of
+    ``S`` already computed for this graph (the PST's); it is used only when
+    its ``positional`` classes and ``return_class`` were computed on the
+    current snapshot (its ``version`` is the graph's), and then a graph
+    with no node to split needs no Figure 4 pass at all.
+    :func:`control_regions_reference` is the retained object-graph path
+    over ``T(S)``.
     """
     return _obs.dispatch(
-        "control_regions", "kernel", cfg, _control_regions, cfg, validate, ticker
+        "control_regions", "kernel", cfg, _control_regions, cfg, validate, ticker, equiv
     )
 
 
 def _control_regions(
-    cfg: CFG, validate: bool, ticker: Optional[Ticker]
+    cfg: CFG,
+    validate: bool,
+    ticker: Optional[Ticker],
+    equiv: Optional[CycleEquivalence],
 ) -> List[List[NodeId]]:
-    frozen = shared_frozen(cfg)
-    if validate and not frozen.validated:
+    if validate:
         validate_cfg(cfg)
-        frozen.validated = True
+    frozen = shared_frozen(cfg)
     if cfg.start is None or cfg.end is None:
         raise InvalidCFGError("CFG must have start and end nodes set")
-    classes = kernel_control_region_classes(frozen, ticker=ticker)
+    if equiv is not None and equiv.version == frozen.version:
+        classes = kernel_control_region_classes(
+            frozen, ticker, equiv.positional, equiv.return_class
+        )
+    else:
+        classes = kernel_control_region_classes(frozen, ticker)
     buckets: Dict[int, List[NodeId]] = {}
     node_ids = frozen.node_ids
     for i, cls in enumerate(classes):

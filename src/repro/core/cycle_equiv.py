@@ -93,6 +93,13 @@ class CycleEquivalence:
     edge *position* in the source graph's ``edges`` list (set when the
     result came from the CSR kernel); consumers that walk edges by index
     (e.g. :func:`repro.core.pst.build_pst`) use it to skip dict lookups.
+    With it come ``return_class``, the class of the virtual ``end ->
+    start`` edge, and ``version``, the graph version of the snapshot both
+    were computed on, so a consumer can tell whether they still describe
+    the graph (:func:`repro.controldep.regions_fast.control_regions` reads
+    node classes off them).  All three are ``None`` otherwise, and
+    :func:`repro.incremental.splice.splice_region` resets them when it
+    patches ``class_of``.
 
     When constructed from the kernel, the ``class_of`` dict is materialized
     lazily from ``positional`` and the edge list on first access, so
@@ -104,10 +111,14 @@ class CycleEquivalence:
         class_of: Optional[Dict[Edge, int]],
         positional: Optional[List[int]] = None,
         lazy_edges: Optional[List[Edge]] = None,
+        return_class: Optional[int] = None,
+        version: Optional[int] = None,
     ):
         self._class_of = class_of
         self.positional = positional
         self._lazy_edges = lazy_edges
+        self.return_class = return_class
+        self.version = version
 
     @property
     def class_of(self) -> Dict[Edge, int]:
@@ -377,7 +388,8 @@ def cycle_equivalence_of_cfg(
     """Cycle-equivalence classes keyed by the edges of ``cfg`` itself.
 
     The ``end -> start`` augmentation is applied virtually (no graph copy);
-    its class is not reported.  Runs the array kernel
+    its class is not in ``class_of`` but is ``return_class``.  Runs the
+    array kernel
     (:func:`repro.kernel.cycle_equiv.kernel_cycle_equivalence`) over the
     shared frozen snapshot; class ids are identical to the object-graph
     reference (:func:`cycle_equivalence_of_cfg_reference`) because both
@@ -391,10 +403,9 @@ def cycle_equivalence_of_cfg(
 def _cycle_equivalence_of_cfg(
     cfg: CFG, validate: bool, ticker: Optional[Ticker]
 ) -> CycleEquivalence:
-    frozen = shared_frozen(cfg)
-    if validate and not frozen.validated:
+    if validate:
         validate_cfg(cfg)
-        frozen.validated = True
+    frozen = shared_frozen(cfg)
     if cfg.start is None or cfg.end is None:
         raise InvalidCFGError("CFG must have start and end nodes set")
     classes = kernel_cycle_equivalence(
@@ -403,7 +414,14 @@ def _cycle_equivalence_of_cfg(
         virtual_edges=((frozen.end, frozen.start),),
         ticker=ticker,
     )
-    return CycleEquivalence(None, positional=classes, lazy_edges=cfg.edges)
+    return_class = classes.pop()  # the virtual end -> start edge's
+    return CycleEquivalence(
+        None,
+        positional=classes,
+        lazy_edges=cfg.edges,
+        return_class=return_class,
+        version=frozen.version,
+    )
 
 
 def cycle_equivalence_of_cfg_reference(

@@ -20,8 +20,9 @@ SESE / PST            canonical regions from the fast partition vs the
 dominators            iterative (Cooper et al.) vs Lengauer-Tarjan vs
                       PST divide-and-conquer; same on the reverse CFG
                       for postdominators
-control regions       O(E) node-cycle-equivalence vs the FOW87
-                      definition (Theorem 7) vs the CFS90 refinement
+control regions       O(E) node-cycle-equivalence, standalone and given
+                      S's cycle equivalence, vs the FOW87 definition
+                      (Theorem 7) vs the CFS90 refinement
 CSR kernels           every array kernel vs its retained object-graph
                       reference, exact (identical ids and shapes, not
                       just equal partitions), including the RD / LV / AE
@@ -389,6 +390,13 @@ def _check_control_regions(case: FuzzCase) -> Optional[str]:
     by_def = control_regions_by_definition(cfg)
     if fast != by_def:
         return f"fast {fast} != definitional {by_def}"
+    # The engine's path: node classes read off S's own cycle equivalence
+    # when no node needs a split.
+    reused = control_regions(
+        cfg, validate=False, equiv=cycle_equivalence_of_cfg(cfg, validate=False)
+    )
+    if reused != by_def:
+        return f"fast given S's classes {reused} != definitional {by_def}"
     cfs = control_regions_cfs(cfg)
     if fast != cfs:
         return f"fast {fast} != CFS90 {cfs}"

@@ -256,7 +256,9 @@ def splice_region(
     class_of = equiv.class_of
     for edge, cls in edge_class_updates.items():
         class_of[edge] = cls
-    equiv.positional = None  # stale positional view, rebuilt on full recompute
+    # The positional view no longer describes the graph; a full recompute
+    # rebuilds it.
+    equiv.positional = equiv.return_class = equiv.version = None
 
     for old in old_regions:
         pst.entry_region.pop(old.entry, None)

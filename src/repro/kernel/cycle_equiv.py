@@ -26,7 +26,7 @@ kernel path exactly as before.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import List, Optional, Sequence, Tuple
 
 from repro.cfg.graph import InvalidCFGError
@@ -48,10 +48,12 @@ def kernel_cycle_equivalence(
     """Edge cycle-equivalence classes of a strongly connected snapshot.
 
     Mirrors :func:`repro.core.cycle_equiv.cycle_equivalence_scc`: ``root``
-    and ``virtual_edges`` use *node indices*; the return value is a list of
-    class ids, one per edge index (virtual edges are not reported).
-    Raises :class:`~repro.cfg.graph.InvalidCFGError` on disconnected or
-    bridged inputs, like the reference.
+    and ``virtual_edges`` use *node indices*.  The return value is a list
+    of class ids, one per edge index, followed by one per virtual edge in
+    the order given (the reference does not report those; a virtual
+    self-loop, which lies on no other cycle, gets ``-1``).  Raises
+    :class:`~repro.cfg.graph.InvalidCFGError` on disconnected or bridged
+    inputs, like the reference.
     """
     root = frozen.start if root is None else root
     key = tuple(virtual_edges)
@@ -82,9 +84,11 @@ def _undirected_csr(
     """Undirected multigraph CSR over undirected-edge ids.
 
     Returns ``(self_loops, ue_edge, n_real, n_ue, adj_off, adj,
-    adj_other)``.  The result is purely structural -- never mutated by the
-    Figure 4 sweep -- so :func:`kernel_cycle_equivalence` caches it on the
-    frozen snapshot keyed by the virtual-edge tuple.
+    adj_other)``; ``ue_edge`` maps each undirected edge to its edge index,
+    with virtual edge ``k`` numbered ``m + k``.  The result is purely
+    structural -- never mutated by the Figure 4 sweep -- so
+    :func:`kernel_cycle_equivalence` caches it on the frozen snapshot
+    keyed by the virtual-edge tuple.
     """
     m = len(esrc)
     deg = [0] * n
@@ -100,7 +104,7 @@ def _undirected_csr(
     else:
         ue_u = []
         ue_v = []
-        ue_edge = []  # edge index, or -1 for a virtual edge
+        ue_edge = []  # edge index; virtual edge k is m + k
         for e in range(m):
             u = esrc[e]
             v = edst[e]
@@ -113,10 +117,10 @@ def _undirected_csr(
             deg[u] += 1
             deg[v] += 1
     n_real = len(ue_edge)
-    for u, v in virtual_edges:
+    for k, (u, v) in enumerate(virtual_edges):
         if u == v:
             continue  # a virtual self-loop cannot affect any class
-        ue_edge.append(-1)
+        ue_edge.append(m + k)
         ue_u.append(u)
         ue_v.append(v)
         deg[u] += 1
@@ -155,9 +159,10 @@ def _cycle_equivalence_arrays(
 ) -> List[int]:
     """The Figure 4 kernel over raw arrays (see :func:`kernel_cycle_equivalence`).
 
-    Exposed separately so derived graphs (the node expansion of Theorem 8)
-    can run it without materializing a CFG or a snapshot.  ``csr`` is an
-    optional precomputed :func:`_undirected_csr` for the same inputs.
+    Exposed separately so derived graphs (the split graph of
+    :func:`kernel_control_region_classes`) can run it without
+    materializing a CFG or a snapshot.  ``csr`` is an optional precomputed
+    :func:`_undirected_csr` for the same inputs.
     """
     m = len(esrc)
     if n == 0:
@@ -174,7 +179,7 @@ def _cycle_equivalence_arrays(
 
     # Self-loops are singleton classes up front, exactly like the reference
     # (which scans edges in order and names them as it skips them).
-    classes = [-1] * m
+    classes = [-1] * (m + len(virtual_edges))
     next_class = 0
     for e in self_loops:
         classes[e] = next_class
@@ -453,8 +458,6 @@ def _cycle_equivalence_arrays(
 
     naming_span = o.span("cycle_equiv.naming") if o is not None else None
     for e, cls in zip(ue_edge, ue_class):
-        if e == -1:
-            continue
         assert cls != -1, f"unlabelled undirected edge {e}"
         classes[e] = cls
     if naming_span is not None:
@@ -465,37 +468,96 @@ def _cycle_equivalence_arrays(
 
 
 def kernel_control_region_classes(
-    frozen: FrozenCFG, ticker: Optional[Ticker] = None
+    frozen: FrozenCFG,
+    ticker: Optional[Ticker] = None,
+    s_classes: Optional[List[int]] = None,
+    return_class: int = -1,
 ) -> List[int]:
     """Node cycle-equivalence class per node index (Theorems 7 & 8).
 
-    Builds the node expansion ``T(S)`` of the return-edge-augmented graph
-    directly in array form (``2N`` nodes, ``N + E + 1`` edges -- never
-    materialized as a CFG) and reads off the classes of the representative
-    ``n_i -> n_o`` edges, which by Theorem 8 are the node classes of ``S``.
+    Theorem 8 reads node classes off the node expansion ``T(S)`` of the
+    return-edge-augmented graph ``S``, but only a node that has several
+    in-edges *and* several out-edges in ``S`` needs its own edge: a node
+    with one in-edge lies on exactly the cycles through that edge (one
+    out-edge, likewise).  So this splits only those nodes, into an in-half
+    and an out-half joined by a representative edge.  Directed cycles of
+    that graph ``S'`` and of ``S`` correspond one to one, and every node's
+    class is the class of its sole in-edge, else of its sole out-edge,
+    else of its representative edge.  ``start`` and ``end`` take the class
+    of the ``end -> start`` return edge.
+
+    When no node needs a split, ``S' = S``.  Then ``s_classes`` (``S``'s
+    edge classes by edge index, from a Figure 4 pass over this snapshot)
+    and ``return_class`` (the return edge's class) give every node class
+    with no further pass; without them, one pass runs over ``S`` on the
+    snapshot's cached undirected CSR.  The split test is "no sole in-edge
+    and no sole out-edge", which in a valid CFG means at least two of
+    each; on an invalid input with an edgeless side the pass meets the
+    same bridge or disconnection as under ``T(S)`` and raises
+    :class:`~repro.cfg.graph.InvalidCFGError`.
     """
     n = frozen.num_nodes
     if n == 0:
         return []
-    if frozen.start < 0 or frozen.end < 0:
+    start = frozen.start
+    end = frozen.end
+    if start < 0 or end < 0:
         raise InvalidCFGError("CFG must have start and end nodes set")
-    esrc = frozen.edge_src
-    edst = frozen.edge_dst
     m = frozen.num_edges
-    # Node k of the snapshot becomes k_i = 2k, k_o = 2k + 1; representative
-    # edges come first so node k's class is classes[k].
-    x_src = [0] * (n + m + 1)
-    x_dst = [0] * (n + m + 1)
-    for k in range(n):
-        x_src[k] = 2 * k
-        x_dst[k] = 2 * k + 1
-    for e in range(m):
-        x_src[n + e] = 2 * esrc[e] + 1
-        x_dst[n + e] = 2 * edst[e]
-    # The end -> start return edge of S, expanded like any other edge.
-    x_src[n + m] = 2 * frozen.end + 1
-    x_dst[n + m] = 2 * frozen.start
-    classes = _cycle_equivalence_arrays(
-        2 * n, x_src, x_dst, 2 * frozen.start, (), ticker
-    )
-    return classes[:n]
+    pred_off = frozen.pred_off
+    pred_edge = frozen.pred_edge
+    succ_off = frozen.succ_off
+    succ_edge = frozen.succ_edge
+
+    # rep[v]: the S' edge whose class is v's.  Index m is the return edge;
+    # -1 marks a node to split.  G's degrees are S's except at start
+    # (one more in-edge) and end (one more out-edge), fixed up below.
+    rep = [
+        pred_edge[p0] if p1 - p0 == 1 else succ_edge[s0] if s1 - s0 == 1 else -1
+        for p0, p1, s0, s1 in zip(
+            pred_off, islice(pred_off, 1, None), succ_off, islice(succ_off, 1, None)
+        )
+    ]
+    for v in (start, end):
+        in_s = pred_off[v + 1] - pred_off[v] + (v == start)
+        out_s = succ_off[v + 1] - succ_off[v] + (v == end)
+        if in_s == 1:
+            rep[v] = m if v == start else pred_edge[pred_off[v]]
+        elif out_s == 1:
+            rep[v] = m if v == end else succ_edge[succ_off[v]]
+        else:
+            rep[v] = -1
+
+    if -1 not in rep:
+        if s_classes is None:
+            s_classes = kernel_cycle_equivalence(
+                frozen, start, ((end, start),), ticker
+            )
+        else:
+            s_classes = s_classes + [return_class]
+        node_classes = list(map(s_classes.__getitem__, rep))
+    else:
+        # Build S': split node v keeps its in-edges and index v; its
+        # out-half is node n + j, which takes v's out-edges and the
+        # representative edge v -> n + j (edge m + 1 + j).
+        x_src = list(frozen.edge_src)
+        x_dst = list(frozen.edge_dst)
+        x_src.append(end)
+        x_dst.append(start)
+        half = n
+        for v, r in enumerate(rep):
+            if r != -1:
+                continue
+            for slot in range(succ_off[v], succ_off[v + 1]):
+                x_src[succ_edge[slot]] = half
+            if v == end:
+                x_src[m] = half
+            rep[v] = len(x_src)
+            x_src.append(v)
+            x_dst.append(half)
+            half += 1
+        edge_classes = _cycle_equivalence_arrays(half, x_src, x_dst, start, (), ticker)
+        node_classes = list(map(edge_classes.__getitem__, rep))
+    if ticker is not None and ticker.profile is not None:
+        ticker.mark("node-classes")
+    return node_classes

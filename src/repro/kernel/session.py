@@ -175,10 +175,17 @@ class AnalysisSession:
         return self._memo("pdom", compute)
 
     def control_regions(self) -> List[List[NodeId]]:
-        """Control regions (§5 node-expansion kernel)."""
+        """Control regions (§5), read off the memoized cycle equivalence.
+
+        The kernel uses those classes only while they describe the current
+        snapshot; a spliced equivalence carries none, and the kernel runs
+        its own pass.
+        """
         from repro.controldep.regions_fast import control_regions
 
-        return self._memo("cr", lambda: control_regions(self.cfg))
+        return self._memo(
+            "cr", lambda: control_regions(self.cfg, equiv=self.cycle_equivalence())
+        )
 
 
 def session_for(cfg: CFG) -> AnalysisSession:

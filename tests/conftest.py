@@ -77,3 +77,19 @@ def paper_cfg() -> CFG:
     from repro.synth.patterns import paper_like_example
 
     return paper_like_example()
+
+
+@pytest.fixture
+def figure4_passes(monkeypatch) -> List[int]:
+    """Node count of every Figure 4 pass the array kernel runs, in order."""
+    import repro.kernel.cycle_equiv as kernel_ce
+
+    counts: List[int] = []
+    real = kernel_ce._cycle_equivalence_arrays
+
+    def counting(n, *args, **kwargs):
+        counts.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(kernel_ce, "_cycle_equivalence_arrays", counting)
+    return counts

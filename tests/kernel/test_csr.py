@@ -5,16 +5,20 @@ from __future__ import annotations
 import gc
 import weakref
 
+import pytest
+
 from repro.cfg.builder import cfg_from_edges
-from repro.cfg.graph import CFG
+from repro.cfg.graph import CFG, InvalidCFGError
+from repro.cfg.validate import validate_cfg
 from repro.core.cycle_equiv import cycle_equivalence_of_cfg
 from repro.kernel.csr import freeze
 from repro.kernel.registry import shared_frozen
 
 
-def diamond() -> CFG:
+def diamond(validate: bool = True) -> CFG:
     return cfg_from_edges(
-        [("start", "a"), ("start", "b"), ("a", "end"), ("b", "end")]
+        [("start", "a"), ("start", "b"), ("a", "end"), ("b", "end")],
+        validate=validate,
     )
 
 
@@ -101,12 +105,23 @@ def test_staleness_and_shared_snapshot_identity():
 
 
 def test_validation_is_memoized_per_snapshot():
-    cfg = diamond()
+    cfg = diamond(validate=False)
     frozen = shared_frozen(cfg)
     assert frozen.validated is False
     cycle_equivalence_of_cfg(cfg)  # validate=True marks the snapshot
     assert frozen.validated is True
     cfg.add_edge("b", "a")  # mutation -> fresh, unvalidated snapshot
+    assert shared_frozen(cfg).validated is False
+
+
+def test_validate_cfg_marks_only_a_valid_current_snapshot():
+    assert shared_frozen(diamond()).validated is True  # the builder validated
+    cfg = diamond(validate=False)
+    validate_cfg(cfg)
+    assert shared_frozen(cfg).validated is True
+    cfg.add_edge("a", "a2")  # a2 cannot reach end
+    with pytest.raises(InvalidCFGError):
+        validate_cfg(cfg)
     assert shared_frozen(cfg).validated is False
 
 

@@ -7,6 +7,7 @@ import weakref
 
 from repro.cfg.builder import cfg_from_edges
 from repro.cfg.graph import CFG
+from repro.controldep.regions_fast import control_regions_reference
 from repro.core.pst import build_pst_reference
 from repro.dominance.lengauer_tarjan import lengauer_tarjan_reference
 from repro.kernel.session import AnalysisSession, session_for
@@ -109,3 +110,23 @@ def test_postdominators_on_diamond():
     assert pdom["a"] == "end"
     assert pdom["b"] == "end"
     assert pdom["end"] == "end"  # idom[root] == root, same as dominators
+
+
+def test_control_regions_read_the_memoized_equivalence(figure4_passes):
+    cfg = diamond()  # no node needs a split
+    session = AnalysisSession(cfg)
+    assert session.control_regions() == control_regions_reference(cfg)
+    assert figure4_passes == [cfg.num_nodes]  # the equivalence's; the regions add none
+    assert session.cache_info()["size"] == 2  # equiv and cr
+
+
+def test_control_regions_follow_an_edit_session_splice():
+    from repro.incremental import EditSession
+    from repro.synth.structured import random_lowered_procedure
+
+    cfg = random_lowered_procedure(3, target_statements=60).cfg
+    edit = EditSession(cfg)
+    edge = next(e for e in cfg.edges if e.source != cfg.start and e.target != cfg.end)
+    edit.add_edge(edge.source, edge.target)
+    assert edit.stats.splices == 1
+    assert session_for(cfg).control_regions() == control_regions_reference(cfg)

@@ -99,8 +99,11 @@ def test_persistent_class_fault_past_the_limit_falls_back(site):
 
 def test_transient_skip_cap_past_the_limit_is_retried():
     # Control regions alone: in a full run the one firing lands in the PST
-    # stage instead.
-    cfg = random_lowered_procedure(3, 400).cfg
+    # stage instead.  No node of this graph needs a split, so the firing
+    # skips a cap of S's own pass.  Seed 32 is one where that cap changes a
+    # node class; on most lowered procedures (seeds 0-29 among them) one
+    # skipped cap leaves every node class right.
+    cfg = random_lowered_procedure(32, 400).cfg
     assert cfg.num_edges > DEFAULT_FULL_CHECK_LIMIT
     clean = run_analysis(cfg, analyses=("control-regions",))
     plan = FaultPlan(sites=["cycle-equiv/skip-cap"], seed=0, max_fires=1)

@@ -5,6 +5,7 @@ import pytest
 from repro.cfg.builder import cfg_from_edges
 from repro.cfg.graph import CFG
 from repro.config import AnalysisConfig
+from repro.controldep.regions_cfs import control_regions_cfs
 from repro.controldep.regions_fast import control_regions
 from repro.core.pst import build_pst
 from repro.dominance.iterative import immediate_dominators
@@ -12,6 +13,7 @@ from repro.fuzz.generator import generate_case
 from repro.resilience import faults
 from repro.resilience.engine import run_analysis
 from repro.resilience.faults import ALL_SITES, FaultPlan
+from repro.synth.structured import random_lowered_procedure
 from tests.resilience.conftest import chain_cfg
 
 # run_analysis works on an immutable snapshot, so the edit-layer sites never
@@ -136,6 +138,39 @@ def test_fault_sweep_over_fuzz_corpus():
             assert result.idom == clean.idom, (site.name, seed)
             assert result.control_regions == clean.control_regions, (site.name, seed)
             assert pst_shape(result.pst) == pst_shape(clean.pst), (site.name, seed)
+
+
+# ----------------------------------------------------------------------
+# the one artifact shared across stages: checked cycle equivalence
+# ----------------------------------------------------------------------
+
+def test_control_regions_read_the_checked_pst_classes(figure4_passes):
+    # No node of this graph needs a split, so the control-regions stage
+    # reads its classes off the PST stage's pass and runs none of its own.
+    cfg = random_lowered_procedure(7, target_statements=400).cfg
+    result = run_analysis(cfg)
+    assert result.ok and not result.degraded
+    assert figure4_passes == [cfg.num_nodes]
+    assert result.control_regions == control_regions_cfs(cfg)
+
+
+def test_a_slow_pst_lends_no_classes(figure4_passes):
+    plan = FaultPlan(sites=["bracketlist/push-bottom"])
+    result = run_analysis(demo_cfg(), config=AnalysisConfig(faults=plan))
+    assert result.ok
+    assert result.diagnostic.paths["pst"] == "slow"
+    # Two failed fast PST attempts, then the control-regions stage runs its
+    # own pass over S' (demo_cfg splits one node), which comes out right.
+    n = demo_cfg().num_nodes
+    assert figure4_passes == [n, n, n + 1]
+    assert result.control_regions == control_regions_cfs(demo_cfg())
+
+
+def test_control_regions_alone_run_their_own_pass(figure4_passes):
+    cfg = random_lowered_procedure(7, target_statements=400).cfg
+    result = run_analysis(cfg, analyses=("control-regions",))
+    assert result.ok and not result.degraded
+    assert figure4_passes == [cfg.num_nodes]
 
 
 # ----------------------------------------------------------------------

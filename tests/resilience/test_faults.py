@@ -29,6 +29,19 @@ def demo_cfg():
     )
 
 
+def split_cfg():
+    """Nested loops whose nodes b and d need a split in S' (several in-
+    and several out-edges), where skipped capping brackets change the
+    control-region classes.  On demo_cfg they fire but leave every node
+    class right."""
+    return cfg_from_edges(
+        [
+            ("start", "a"), ("a", "b"), ("b", "c"), ("c", "d"), ("d", "end"),
+            ("d", "c"), ("b", "d"), ("d", "b"), ("a", "d"),
+        ]
+    )
+
+
 # ----------------------------------------------------------------------
 # plan semantics
 # ----------------------------------------------------------------------
@@ -147,7 +160,7 @@ def test_push_bottom_corrupts_cycle_equivalence():
 
 
 def test_skip_cap_corrupts_control_regions():
-    cfg = demo_cfg()
+    cfg = split_cfg()
     reference = control_regions_cfs(cfg)
     assert control_regions(cfg) == reference
     with faults.inject(FaultPlan(sites=["cycle-equiv/skip-cap"])) as plan:

@@ -449,3 +449,62 @@ def test_a_burst_of_connects_is_queued_while_nothing_accepts():
         httpd.server_close()
         srv._teardown()
     assert len(connections) == 16
+
+
+# ----------------------------------------------------------------------
+# Definition 1 is checked once per built graph
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Every check_cfg call, whoever makes it: validate_cfg or the engine."""
+    import repro.cfg.validate as validate_mod
+    import repro.resilience.engine as engine_mod
+
+    calls = []
+    real = validate_mod.check_cfg
+
+    def counting(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(validate_mod, "check_cfg", counting)
+    monkeypatch.setattr(engine_mod, "check_cfg", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    [
+        {"cfg": {"edges": [["start", "a"], ["a", "b"], ["a", "end"], ["b", "a"]]}},
+        {"source": SOURCE},
+        {"synth": {"seed": 3, "size": 20}},
+    ],
+    ids=["cfg", "source", "synth"],
+)
+def test_a_built_graph_is_checked_once_per_request(checks, spelling):
+    # The cfg and source builders validate; the engine then skips its own
+    # check of the same snapshot.  A synth graph is checked by the engine.
+    handlers = AnalysisServer(ServiceConfig(rate=10_000.0, burst=1_000))
+    status, body = handlers.handle_run_analysis(dict(spelling, client="me"))
+    assert status == 200 and body["ok"]
+    assert len(checks) == 1
+    # An edit makes a new snapshot, which the next analysis checks again.
+    delta = {"op": "add_edge", "source": "start", "target": "end"}
+    status, _ = handlers.handle_apply_delta(dict(spelling, client="me", deltas=[delta]))
+    assert status == 200
+    del checks[:]
+    status, body = handlers.handle_run_analysis(dict(spelling, client="me"))
+    assert status == 200 and body["ok"] and not body["cached"]
+    assert len(checks) == 1
+
+
+def test_an_invalid_graph_answers_as_before(checks):
+    handlers = AnalysisServer(ServiceConfig(rate=10_000.0, burst=1_000))
+    from repro.service.server import _BadRequest
+
+    with pytest.raises(_BadRequest, match="not a valid CFG"):
+        handlers.handle_run_analysis(
+            {"client": "me", "cfg": {"edges": [["start", "a"], ["a", "a"]]}}
+        )
+    assert len(checks) == 1
