@@ -366,6 +366,10 @@ def trace_main(argv: List[str], out) -> int:
         return EXIT_OK
 
     # --- record mode: run the engine under an observer --------------------
+    try:
+        config = AnalysisConfig(deadline=args.deadline, step_budget=args.step_budget)
+    except ValueError as error:
+        return _bad_flag(error)
     if (args.source is None) == (args.synth_seed is None):
         print(
             "error: give exactly one of a source file or --synth-seed",
@@ -410,12 +414,9 @@ def trace_main(argv: List[str], out) -> int:
     try:
         for proc in procedures:
             observer = Observer(profile=args.profile)
-            config = AnalysisConfig(
-                deadline=args.deadline,
-                step_budget=args.step_budget,
-                observer=observer,
+            result = run_analysis(
+                proc.cfg, config=config.replace(observer=observer)
             )
-            result = run_analysis(proc.cfg, config=config)
             if not result.ok:
                 print(
                     f"error[analysis]: proc {proc.name}: {result.error}",
@@ -441,12 +442,18 @@ def batch_main(argv: List[str], out) -> int:
     from repro.resilience.batch import run_batch
 
     args = build_batch_arg_parser().parse_args(argv)
-    if args.retries < 0:
-        print("error: --retries must be >= 0", file=sys.stderr)
-        return EXIT_USAGE_IO
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return EXIT_USAGE_IO
+    observer = Observer() if args.trace is not None else None
+    try:
+        config = AnalysisConfig(
+            retries=args.retries,
+            backoff=args.backoff,
+            deadline=args.deadline,
+            step_budget=args.step_budget,
+            workers=args.workers,
+            observer=observer,
+        )
+    except ValueError as error:
+        return _bad_flag(error)
 
     def items():
         for path in args.sources:
@@ -462,15 +469,6 @@ def batch_main(argv: List[str], out) -> int:
             for proc in procedures:
                 yield f"{path}::{proc.name}", (lambda p=proc: p.cfg)
 
-    observer = Observer() if args.trace is not None else None
-    config = AnalysisConfig(
-        retries=args.retries,
-        backoff=args.backoff,
-        deadline=args.deadline,
-        step_budget=args.step_budget,
-        workers=args.workers,
-        observer=observer,
-    )
     try:
         report = run_batch(
             items(),
@@ -493,6 +491,13 @@ def batch_main(argv: List[str], out) -> int:
             return EXIT_USAGE_IO
     print(report.render(), file=out)
     return EXIT_OK if report.ok else EXIT_ANALYSIS_FAILED
+
+
+def _bad_flag(error: ValueError) -> int:
+    """Report a config error, whose message opens with a field, as its flag's."""
+    field, _, rest = str(error).partition(" ")
+    print(f"error: --{field.replace('_', '-')} {rest}", file=sys.stderr)
+    return EXIT_USAGE_IO
 
 
 def _raiser(error: Exception):
@@ -641,12 +646,6 @@ def serve_main(argv: List[str], out) -> int:
     from repro.service.server import AnalysisServer, ServiceConfig
 
     args = build_serve_arg_parser().parse_args(argv)
-    if args.max_inflight < 1:
-        print("error: --max-inflight must be >= 1", file=sys.stderr)
-        return EXIT_USAGE_IO
-    if args.max_cache_bytes < 0:
-        print("error: --max-cache-bytes must be >= 0", file=sys.stderr)
-        return EXIT_USAGE_IO
     try:
         server = AnalysisServer(
             ServiceConfig(
@@ -751,7 +750,11 @@ def soak_main(argv: List[str], out) -> int:
         burst=args.burst,
         trace_path=args.trace,
     )
-    report = run_soak(config, out=out)
+    try:
+        report = run_soak(config, out=out)
+    except ValueError as error:  # a bad knob, rejected before anything starts
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_USAGE_IO
     try:
         if args.out is not None:
             with open(args.out, "w") as handle:

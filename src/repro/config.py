@@ -3,10 +3,10 @@
 :class:`AnalysisConfig` is the one way to tune
 :func:`repro.resilience.engine.run_analysis`,
 :func:`repro.resilience.batch.run_batch`, and
-:class:`repro.incremental.session.EditSession`: engine behaviour (retry
-ladder, postcondition scope), guards (deadline/step budget), fault
-injection, observability, batch execution (workers, retries, backoff) and
-edit verification live in one immutable, reusable value::
+:class:`repro.incremental.session.EditSession`: engine behaviour (stages,
+retry ladder), guards (deadline/step budget), fault injection,
+observability, batch execution (workers, retries, backoff) and edit
+verification live in one immutable, reusable value::
 
     from repro import AnalysisConfig, Observer, run_analysis
 
@@ -33,22 +33,17 @@ from repro.obs.observer import Observer
 #: The analyses run_analysis knows how to run, in default order.
 ALL_ANALYSES: Tuple[str, ...] = ("pst", "dominators", "control-regions")
 
-#: Graphs with at most this many edges are cross-checked against the slow
-#: references as a postcondition (it is microseconds there); larger graphs
-#: are checked against control-dependence sums, which stay O(E).
-DEFAULT_FULL_CHECK_LIMIT = 256
-
 
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Everything the analysis stack is allowed to vary, in one value.
 
     Engine
-        ``analyses`` (None = all three stages), ``fast_retries``,
-        ``full_check_limit``.
+        ``analyses`` (None = all three stages), ``fast_retries``.
     Guards
-        ``deadline`` seconds (global per engine call), ``step_budget``
-        per attempt, ``check_every`` checkpoint spacing.
+        ``deadline`` seconds (global per engine call; ``0.0`` is already
+        expired), ``step_budget`` per attempt, ``check_every`` checkpoint
+        spacing.
     Faults
         ``faults`` -- a :class:`~repro.resilience.faults.FaultPlan`
         installed for the duration of each engine call.
@@ -72,7 +67,6 @@ class AnalysisConfig:
 
     analyses: Optional[Tuple[str, ...]] = None
     fast_retries: int = 1
-    full_check_limit: int = DEFAULT_FULL_CHECK_LIMIT
     deadline: Optional[float] = None
     step_budget: Optional[int] = None
     check_every: int = 512
@@ -97,8 +91,8 @@ class AnalysisConfig:
             raise ValueError("workers must be >= 1")
         if self.check_every < 1:
             raise ValueError("check_every must be >= 1")
-        if self.full_check_limit < 0:
-            raise ValueError("full_check_limit must be >= 0")
+        if self.deadline is not None and not self.deadline >= 0:
+            raise ValueError("deadline must be >= 0 and not NaN")
         if self.backoff < 0 or self.backoff_factor < 0:
             raise ValueError("backoff and backoff_factor must be >= 0")
         if self.step_budget is not None and self.step_budget < 0:

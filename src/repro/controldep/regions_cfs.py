@@ -7,9 +7,10 @@ Worst case O(N) work per control dependence and O(E) dependences gives
 O(EN); the paper's contribution is replacing this with the O(E)
 cycle-equivalence reduction.
 
-This baseline exists for two purposes: as a third independent
-implementation of the same partition (cross-checked in the test suite) and
-as the comparison point of ``benchmarks/bench_perf_control_regions.py``.
+This baseline exists for three purposes: as a third independent
+implementation of the same partition (cross-checked in the test suite), as
+the resilience engine's slow control-regions rung, and as the comparison
+point of ``benchmarks/bench_perf_control_regions.py``.
 """
 
 from __future__ import annotations

@@ -32,8 +32,9 @@ dataflow              the object-graph iterative fixpoint vs PST
                       and every variable's reaching definitions; vs the
                       QPG alone for constant propagation
 φ-placement           iterated dominance frontiers vs PST placement
-resilience            the guarded engine under persistent fault
-                      injection at every site vs the clean verified run
+resilience            the guarded engine under persistent and transient
+                      fault injection at every site vs the clean run,
+                      itself held to the object-graph references
 incremental           an :class:`~repro.incremental.EditSession` driven
                       through a seeded random edit stream vs recompute-
                       from-scratch after every accepted delta; rejected
@@ -460,13 +461,14 @@ def _check_dataflow(case: FuzzCase) -> Optional[str]:
 def _check_fault_recovery(case: FuzzCase) -> Optional[str]:
     """The resilience engine must absorb every injected fault.
 
-    For each fault site, a persistent fault and a transient one (a single
-    firing) are injected in turn and
+    The clean run must be undegraded and equal the object-graph references
+    (the PST over the reference cycle equivalence, Lengauer-Tarjan, the
+    T(S) control regions), which share no code with the engine's fast
+    paths or its checks.  Then, for each fault site, a persistent fault and
+    a transient one (a single firing) are injected in turn and
     :func:`repro.resilience.engine.run_analysis` is run; the engine must
     report success (detecting the corruption and falling back or retrying,
-    or the fault being masked) and its results must equal the clean run's
-    -- which the engine itself has already verified, against the slow
-    references or, past ``full_check_limit``, the control-dependence sums.
+    or the fault being masked) and its results must equal the clean run's.
     """
     from repro.resilience import engine as _engine
     from repro.resilience import faults as _faults
@@ -480,7 +482,21 @@ def _check_fault_recovery(case: FuzzCase) -> Optional[str]:
             "engine degraded on clean input: "
             + "; ".join(a.describe() for a in clean.diagnostic.failures())
         )
-    clean_pst = sorted((r.entry.eid, r.exit.eid) for r in clean.pst.canonical_regions())
+
+    def regions(pst):
+        return sorted((r.entry.eid, r.exit.eid) for r in pst.canonical_regions())
+
+    clean_pst = regions(clean.pst)
+    references = {
+        "PST regions (edge-id pairs)": (clean_pst, regions(
+            build_pst_reference(cfg, cycle_equivalence_of_cfg_reference(cfg))
+        )),
+        "idoms": (clean.idom, lengauer_tarjan_reference(cfg)),
+        "control regions": (clean.control_regions, control_regions_reference(cfg)),
+    }
+    for what, (ours, reference) in references.items():
+        if ours != reference:
+            return f"clean {what} {ours} != reference {reference}"
     plans = [
         (site.name if max_fires is None else f"{site.name} x1", site.name, max_fires)
         for site in _faults.ALL_SITES
@@ -496,9 +512,7 @@ def _check_fault_recovery(case: FuzzCase) -> Optional[str]:
             return f"[{label}] recovered idoms differ from the clean run"
         if injected.control_regions != clean.control_regions:
             return f"[{label}] recovered control regions differ from the clean run"
-        injected_pst = sorted(
-            (r.entry.eid, r.exit.eid) for r in injected.pst.canonical_regions()
-        )
+        injected_pst = regions(injected.pst)
         if injected_pst != clean_pst:
             return (
                 f"[{label}] recovered PST regions {injected_pst} != "

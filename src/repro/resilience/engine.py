@@ -10,8 +10,8 @@ gets an :class:`AnalysisResult` tagged with a :class:`Diagnostic` recording
 which path ran, why, and how long it took; the function itself never raises.
 
 This is the pairing Chalupa et al. use for their strong-control-dependence
-algorithms -- fast algorithm shipped together with a slow checker -- promoted
-from a test-time oracle to a first-class runtime mechanism.
+algorithms -- a fast algorithm shipped together with an independent checker
+-- promoted from a test-time oracle to a first-class runtime mechanism.
 
 Postconditions per stage (all independent of the fast algorithms and of
 every fault site in :mod:`repro.resilience.faults`).  They read one
@@ -22,22 +22,18 @@ and the control-dependence sums read off the postdominator tree.
 * **pst** -- node ownership is a partition of the CFG's nodes; every
   canonical region's entry edge dominates its exit edge and the exit edge
   postdominates the entry edge (the Definition-of-SESE dominance
-  conditions); and the cycle-equivalence classes are checked in full:
-  against the §3.3 bracket-set reference for graphs within
-  ``full_check_limit`` edges, against the edges' control-dependence sums
-  past it.  Edge dominance needs no edge-split copy: for distinct edges
-  ``a = (u -> v)`` and ``b = (x -> y)``, ``a`` dominates ``b`` iff ``v``
-  dominates ``x`` and ``a`` is the only in-edge of ``v`` from a node
-  ``v`` does not dominate; ``b`` postdominates ``a`` iff ``x``
-  postdominates ``v`` and ``b`` is the only out-edge of ``x`` to a node
-  ``x`` does not postdominate.
+  conditions); and the cycle-equivalence classes partition the edges
+  exactly as the edges' control-dependence sums do.  Edge dominance needs
+  no edge-split copy: for distinct edges ``a = (u -> v)`` and
+  ``b = (x -> y)``, ``a`` dominates ``b`` iff ``v`` dominates ``x`` and
+  ``a`` is the only in-edge of ``v`` from a node ``v`` does not dominate;
+  ``b`` postdominates ``a`` iff ``x`` postdominates ``v`` and ``b`` is the
+  only out-edge of ``x`` to a node ``x`` does not postdominate.
 * **dominators** -- the Lengauer-Tarjan tree is cross-checked against the
   witness's iterative dominator tree.
 * **control-regions** -- the groups partition the node set, ``start`` and
-  ``end`` share a group (both are always-executed), and the groups are
-  checked in full: against the CFS90 baseline within
-  ``full_check_limit`` edges, against the nodes' control-dependence sums
-  past it.
+  ``end`` share a group (both are always-executed), and the groups
+  partition the nodes exactly as the nodes' control-dependence sums do.
 
 The sums (:func:`~repro.kernel.dominance.control_dependence_sums`) give
 equal control-dependence sets equal sums, and Theorem 7 makes equal sets
@@ -46,8 +42,8 @@ a wrong merge escapes only on a 64-bit collision.
 
 The fallback ladder per stage is ``fast``, ``fast-retry`` x ``fast_retries``
 (recovers transient faults), then ``slow``.  Slow results pass through the
-same postconditions (minus the self-comparison), so a degraded answer is
-still a *verified* answer.
+same structure, dominance and partition-shape checks, but not the class
+and tree comparisons: a slow answer is the one of last resort.
 
 Stages share one artifact, and only a checked one: once the PST stage has
 passed its postconditions, the control-regions fast path reads node
@@ -291,7 +287,7 @@ def _run_ladders(
     try:
         # Each snapshot is probed once: not again after validate_cfg (a
         # validating builder, lowering, an EditSession), and not by the
-        # checks' own reference calls after this.
+        # CFS90 rung's own validate_cfg call after this.
         frozen = shared_frozen(cfg)
         problems = [] if frozen.validated else check_cfg(cfg)
         if not problems:
@@ -323,7 +319,7 @@ def _run_ladders(
     # checks: the control-regions stage reads node classes off the PST
     # stage's verified cycle equivalence (see _build_stages).
     results: Dict[str, object] = {}
-    stages = _build_stages(cfg, config.full_check_limit, results)
+    stages = _build_stages(cfg, results)
     aborted = False
     profile_on = o is not None and o.profile
 
@@ -434,7 +430,7 @@ def _run_ladders(
 # stage definitions: (fast, slow, checker) triples
 # ----------------------------------------------------------------------
 
-def _build_stages(cfg: CFG, full_check_limit: int, results: Dict[str, object]):
+def _build_stages(cfg: CFG, results: Dict[str, object]):
     # The iterative (CHK) dominator and postdominator trees, and what the
     # checks read off them, are computed once per run, on first use, and
     # shared by every check.  None of it shares code or a fault site with
@@ -476,16 +472,13 @@ def _build_stages(cfg: CFG, full_check_limit: int, results: Dict[str, object]):
         _check_sese_dominance(cfg, pst, edge_dom(ticker))
         if not cross_check:
             return
-        if cfg.num_edges <= full_check_limit:
-            _check_equiv_against_reference(cfg, equiv)
-        else:
-            edges = cfg.edges
-            _check_against_sums(
-                "cycle equivalence",
-                equiv.positional,  # the kernel's classes, by edge index
-                dependence_sums(ticker)[0],
-                lambda e: f"edge {edges[e]!r}",
-            )
+        edges = cfg.edges
+        _check_against_sums(
+            "cycle equivalence",
+            equiv.positional,  # the kernel's classes, by edge index
+            dependence_sums(ticker)[0],
+            lambda e: f"edge {edges[e]!r}",
+        )
 
     def dom_fast(ticker):
         return lengauer_tarjan(cfg, ticker=ticker)
@@ -511,7 +504,7 @@ def _build_stages(cfg: CFG, full_check_limit: int, results: Dict[str, object]):
         # The PST stage's cycle equivalence, once that stage has passed its
         # checks (a slow PST carries no positional classes and is not
         # reused).  cr_check below does not trust it: a wrong reuse fails
-        # CFS90 or the sums like any wrong fast answer.
+        # the sums like any wrong fast answer.
         pst = results.get("pst")
         equiv = None if pst is None else pst[0]
         return control_regions(cfg, validate=False, ticker=ticker, equiv=equiv)
@@ -523,26 +516,18 @@ def _build_stages(cfg: CFG, full_check_limit: int, results: Dict[str, object]):
         _check_control_partition(cfg, value)
         if not cross_check:
             return
-        if cfg.num_edges <= full_check_limit:
-            reference = control_regions_cfs(cfg)
-            if value != reference:
-                raise PostconditionError(
-                    f"control regions diverge from CFS90 reference: "
-                    f"fast={value} reference={reference}"
-                )
-        else:
-            frozen = shared_frozen(cfg)
-            index_of = frozen.index_of
-            labels = [0] * frozen.num_nodes
-            for group_index, group in enumerate(value):
-                for node in group:
-                    labels[index_of[node]] = group_index
-            _check_against_sums(
-                "control regions",
-                labels,
-                dependence_sums(ticker)[1],
-                lambda i: f"node {frozen.node_ids[i]!r}",
-            )
+        frozen = shared_frozen(cfg)
+        index_of = frozen.index_of
+        labels = [0] * frozen.num_nodes
+        for group_index, group in enumerate(value):
+            for node in group:
+                labels[index_of[node]] = group_index
+        _check_against_sums(
+            "control regions",
+            labels,
+            dependence_sums(ticker)[1],
+            lambda i: f"node {frozen.node_ids[i]!r}",
+        )
 
     return {
         "pst": (pst_fast, pst_slow, pst_check),
@@ -607,27 +592,6 @@ def _slow_cycle_equivalence(cfg: CFG) -> CycleEquivalence:
     for original, copy in zip(cfg.edges, copies):
         classes[original] = key_to_class.setdefault(slow[copy], len(key_to_class))
     return CycleEquivalence(classes)
-
-
-def _partition_of(classes: Dict[Edge, object]):
-    groups: Dict[object, List[int]] = {}
-    for edge, cls in classes.items():
-        groups.setdefault(cls, []).append(edge.eid)
-    return {frozenset(eids) for eids in groups.values()}
-
-
-def _check_equiv_against_reference(cfg: CFG, equiv: CycleEquivalence) -> None:
-    """Full partition cross-check against the §3.3 slow reference."""
-    reference = _slow_cycle_equivalence(cfg)
-    fast_partition = _partition_of(equiv.class_of)
-    slow_partition = _partition_of(reference.class_of)
-    if fast_partition != slow_partition:
-        only_fast = sorted(sorted(s) for s in fast_partition - slow_partition)
-        only_slow = sorted(sorted(s) for s in slow_partition - fast_partition)
-        raise PostconditionError(
-            "cycle-equivalence partition diverges from bracket-set reference: "
-            f"fast-only {only_fast} vs reference-only {only_slow} (edge ids)"
-        )
 
 
 def _check_against_sums(

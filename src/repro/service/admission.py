@@ -15,8 +15,8 @@ work happens:
 ``degraded``
     Inflight is past the soft threshold but under the hard cap: still
     admitted, but the server clamps the request to a cheaper engine
-    configuration (no fast retries, no full cross-check, tighter
-    deadline) -- the kernel -> reference -> reject ladder's middle rung.
+    configuration (no fast retries, tighter deadline) -- the kernel ->
+    reference -> reject ladder's middle rung.
 ``shed`` (reason ``rate``)
     The token bucket is empty: HTTP 429 with ``Retry-After`` derived
     from the bucket's refill rate.

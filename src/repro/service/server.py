@@ -11,9 +11,9 @@ every request passes, in order, through
    requests get 429, a saturated pool gets 503 (``EXIT_SHED``), both with
    structured bodies carrying ``retry_after``;
 3. graceful degradation -- requests admitted past the soft inflight
-   threshold run a cheaper engine configuration (no fast retries, no full
-   cross-check, clamped deadline): the kernel -> reference -> reject
-   ladder's middle rung, visible as ``"mode": "degraded"`` in responses;
+   threshold run a cheaper engine configuration (no fast retries, clamped
+   deadline): the kernel -> reference -> reject ladder's middle rung,
+   visible as ``"mode": "degraded"`` in responses;
 4. the per-client session cache -- a
    :class:`~repro.service.cache.ShardedSessionCache` keyed by a stable
    graph key, holding the CFG, its live edit session, and version-stamped
@@ -89,8 +89,8 @@ from repro.service.cache import ShardedSessionCache, cfg_cost_bytes
 from repro.service.drain import DrainController
 
 #: Analyses a degraded request still runs the full set of -- degradation
-#: changes *how* stages run (ladder depth, checking), never the answer.
-_DEGRADED_OVERRIDES = dict(fast_retries=0, full_check_limit=0)
+#: changes *how* stages run (ladder depth, deadline), never the answer.
+_DEGRADED_OVERRIDES = dict(fast_retries=0)
 
 #: Deadline clamp, in seconds, for degraded-mode requests.
 DEGRADED_DEADLINE = 1.0
@@ -123,6 +123,16 @@ class ServiceConfig:
     max_deadline: float = 30.0
     #: Where the drain flush writes the request trace (None = nowhere).
     trace_path: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # A NaN default would let requests without a deadline run
+        # unbounded; a non-positive one would expire every such request.
+        for name in ("default_deadline", "max_deadline"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0")
+        if self.max_cache_bytes < 0:
+            raise ValueError("max_cache_bytes must be >= 0")
 
 
 class _BadRequest(ValueError):

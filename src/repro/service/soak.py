@@ -302,12 +302,17 @@ def _client_loop(
 
 
 def run_soak(config: Optional[SoakConfig] = None, out=None) -> SoakReport:
-    """Run one chaos soak; always returns a report (never raises)."""
+    """Run one chaos soak; always returns a report once it has started.
+
+    A knob the fault plan or the server rejects raises its ``ValueError``
+    before anything starts.
+    """
     config = config if config is not None else SoakConfig()
     report = SoakReport(config=dict(config.__dict__, bands=list(config.bands)))
     started = time.monotonic()
     report.rss_start_bytes = _rss_bytes()
 
+    plan = FaultPlan(seed=config.seed, rate=config.fault_rate)
     server = AnalysisServer(
         ServiceConfig(
             port=0,
@@ -327,7 +332,6 @@ def run_soak(config: Optional[SoakConfig] = None, out=None) -> SoakReport:
     host, port = server.address
     base = f"http://{host}:{port}"
 
-    plan = FaultPlan(seed=config.seed, rate=config.fault_rate)
     stats = [_ClientStats() for _ in range(config.clients)]
     stop_at = time.monotonic() + config.duration
     try:

@@ -166,6 +166,33 @@ def test_batch_rejects_negative_retries(source_file, capsys):
     assert "--retries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["batch", "--step-budget", "-1"], "--step-budget"),
+        (["batch", "--backoff", "-1"], "--backoff"),
+        (["batch", "--deadline", "nan"], "--deadline"),
+        (["trace", "--step-budget", "-1"], "--step-budget"),
+        (["serve", "--port", "0", "--default-deadline", "nan"], "default_deadline"),
+        (["soak", "--duration", "0.1", "--max-inflight", "0"], "max_inflight"),
+        (["soak", "--duration", "0.1", "--max-cache-bytes", "-1"], "max_cache_bytes"),
+    ],
+)
+def test_a_bad_config_flag_is_one_error_line_and_exit_2(
+    argv, named, source_file, monkeypatch, capsys
+):
+    from repro.service.server import AnalysisServer
+
+    # A server that got past its config would return at once, not serve.
+    monkeypatch.setattr(AnalysisServer, "serve_forever", lambda self, announce: None)
+    if argv[0] in ("batch", "trace"):
+        argv = [argv[0], source_file, *argv[1:]]
+    assert run(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err
+
+
 def test_batch_unwritable_checkpoint_exits_2(source_file, capsys):
     code, _ = run(["batch", source_file, "--checkpoint", "/nonexistent/dir/ck.jsonl"])
     assert code == 2

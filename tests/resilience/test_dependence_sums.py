@@ -1,6 +1,6 @@
-"""Both stages' classes, checked past ``full_check_limit`` by dependence sums.
+"""Both stages' classes, checked by dependence sums at every graph size.
 
-Past the limit the engine runs no slow reference.  It checks the fast
+The engine runs no slow reference as a check.  It checks the fast
 cycle-equivalence classes and the control-region groups against
 :func:`repro.kernel.dominance.control_dependence_sums`, one linear pass
 that summarizes every edge's and every node's control-dependence set over
@@ -11,7 +11,7 @@ verified.
 
 import pytest
 
-from repro.config import DEFAULT_FULL_CHECK_LIMIT, AnalysisConfig
+from repro.config import AnalysisConfig
 from repro.controldep.fow import control_regions_by_definition
 from repro.core.cycle_equiv import cycle_equivalence_of_cfg_reference
 from repro.core.pst import build_pst_reference
@@ -67,12 +67,10 @@ def test_sums_partition_edges_and_nodes_as_the_references_do():
 
 
 def test_fuzz_graphs_forced_through_the_sums_check_run_clean():
-    # full_check_limit=0 sends every graph through the sums check: a false
-    # alarm would show as a degraded clean run.
-    config = AnalysisConfig(full_check_limit=0)
+    # A false alarm of the sums check would show as a degraded clean run.
     for seed in range(200):
         cfg = generate_case(seed, size=20).cfg
-        result = run_analysis(cfg, config=config)
+        result = run_analysis(cfg)
         assert result.ok and not result.degraded, (seed, result.diagnostic.render())
         assert result.control_regions == control_regions_by_definition(cfg), seed
         reference = build_pst_reference(cfg, cycle_equivalence_of_cfg_reference(cfg))
@@ -82,7 +80,6 @@ def test_fuzz_graphs_forced_through_the_sums_check_run_clean():
 @pytest.mark.parametrize("site", CLASS_SITES)
 def test_persistent_class_fault_past_the_limit_falls_back(site):
     cfg = random_lowered_procedure(1, 300).cfg
-    assert cfg.num_edges > DEFAULT_FULL_CHECK_LIMIT
     clean = run_analysis(cfg)
     faulted = run_analysis(
         cfg, config=AnalysisConfig(faults=FaultPlan(sites=[site], seed=0))
@@ -104,7 +101,6 @@ def test_transient_skip_cap_past_the_limit_is_retried():
     # node class; on most lowered procedures (seeds 0-29 among them) one
     # skipped cap leaves every node class right.
     cfg = random_lowered_procedure(32, 400).cfg
-    assert cfg.num_edges > DEFAULT_FULL_CHECK_LIMIT
     clean = run_analysis(cfg, analyses=("control-regions",))
     plan = FaultPlan(sites=["cycle-equiv/skip-cap"], seed=0, max_fires=1)
     faulted = run_analysis(

@@ -112,6 +112,10 @@ def test_persistent_push_bottom_degrades_pst_to_slow():
         result = run_analysis(demo_cfg())
     assert result.ok and result.degraded
     assert result.diagnostic.paths["pst"] == "slow"
+    # A 9-edge graph's classes are checked by the sums, as a large one's.
+    first = result.diagnostic.attempts[0]
+    assert (first.stage, first.path, first.outcome) == ("pst", "fast", "postcondition")
+    assert "control-dependence set" in first.detail
 
 
 def test_transient_fault_recovers_on_fast_retry():

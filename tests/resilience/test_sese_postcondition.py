@@ -9,7 +9,7 @@ corrupted by fault injection.
 
 import pytest
 
-from repro.config import DEFAULT_FULL_CHECK_LIMIT, AnalysisConfig
+from repro.config import AnalysisConfig
 from repro.dominance.iterative import edge_dominance, immediate_dominators
 from repro.dominance.tree import DominatorTree
 from repro.errors import PostconditionError
@@ -88,16 +88,13 @@ def trail(result):
 
 
 def faulted_trail(site, seed):
-    config = AnalysisConfig(
-        full_check_limit=0, faults=FaultPlan(sites=[site], seed=seed)
-    )
+    config = AnalysisConfig(faults=FaultPlan(sites=[site], seed=seed))
     return trail(run_analysis(generate_case(seed, size=12).cfg, config=config))
 
 
 @pytest.mark.parametrize("site", ENGINE_SITES)
 def test_fault_corrupted_psts_get_the_split_graph_verdict(site, monkeypatch):
-    # full_check_limit=0 swaps the bracket-set cross-check for the
-    # control-dependence sums, which run after the structure and dominance
+    # The control-dependence sums run after the structure and dominance
     # checks; both dominance checks must reject the same attempts with the
     # same message and let the same PST through to the sums.
     seeds = range(150)
@@ -114,17 +111,29 @@ def test_fault_corrupted_psts_get_the_split_graph_verdict(site, monkeypatch):
         assert len(rejected) >= 3
 
 
-def test_graph_past_the_full_check_limit_is_checked_by_dominance_alone():
-    cfg = random_cfg(3, num_nodes=200, extra_edges=100)
-    assert cfg.num_edges > DEFAULT_FULL_CHECK_LIMIT
+#: A fuzz graph of 22 edges and a random graph of 304.
+GRAPHS = {
+    "small": lambda: generate_case(0, size=12).cfg,
+    "large": lambda: random_cfg(3, num_nodes=200, extra_edges=100),
+}
 
+
+def no_reference(*args, **kwargs):
+    raise AssertionError("a check ran a slow reference")
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+def test_every_size_gets_one_check_and_no_reference(graph, monkeypatch):
+    cfg = GRAPHS[graph]()
     observer = Observer(trace=False)
-    clean = run_analysis(cfg, config=AnalysisConfig(observer=observer))
-    assert clean.ok and not clean.degraded
-    # Past the limit no reference runs.  Two iterative runs (forward and
-    # reversed) serve every check: the PST's dominance check, the
-    # Lengauer-Tarjan cross-check, and the control-dependence sums that
-    # check both stages' classes.
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "cycle_equivalence_bracket_sets", no_reference)
+        patch.setattr(engine, "control_regions_cfs", no_reference)
+        clean = run_analysis(cfg, config=AnalysisConfig(observer=observer))
+    assert clean.ok and not clean.degraded, clean.diagnostic.render()
+    # Two iterative runs (forward and reversed) serve every check: the
+    # PST's dominance check, the Lengauer-Tarjan cross-check, and the
+    # control-dependence sums that check both stages' classes.
     assert observer.metrics.count_of(
         "dispatch", component="immediate_dominators", impl="kernel"
     ) == 2.0

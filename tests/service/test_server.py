@@ -238,6 +238,25 @@ def test_requests_past_the_soft_threshold_run_degraded(server):
     assert body["mode"] == "degraded"
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        # A NaN default lets a request without a deadline run unbounded; a
+        # negative one answers every such request 422 "deadline exceeded".
+        {"default_deadline": float("nan")},
+        {"default_deadline": -1.0},
+        {"default_deadline": 0.0},
+        {"default_deadline": float("inf")},
+        {"max_deadline": float("nan")},
+        {"max_deadline": 0.0},
+        {"max_cache_bytes": -1},
+    ],
+)
+def test_service_config_rejects_bad_fields(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        ServiceConfig(**kwargs)
+
+
 def test_rate_shed_is_a_structured_429_with_retry_after_header(server):
     bucket = server.admission.bucket
     saved_rate = bucket.rate

@@ -33,10 +33,11 @@ def test_analyses_iterables_normalize_to_tuples():
         {"retries": -1},
         {"workers": 0},
         {"check_every": 0},
-        {"full_check_limit": -1},
         {"backoff": -0.1},
         {"backoff_factor": -1.0},
         {"step_budget": -5},
+        {"deadline": -1.0},
+        {"deadline": float("nan")},
     ],
 )
 def test_invalid_fields_raise_value_error(kwargs):
