@@ -1,20 +1,17 @@
-"""The region toolkit around the PST: intervals, loops, factored CD.
+"""The region toolkit around the PST: reducibility, factored CD, region kinds.
 
-A tour of the companion structures the paper situates the PST among:
+A tour of three structures over one procedure:
 
-1. Allen-Cocke intervals and the derived sequence (the classic elimination
-   decomposition; also a reducibility test),
-2. natural loops and the loop-nesting forest,
-3. the factored control-dependence representation over control regions
+1. reducibility by T1/T2 collapse (Theorem 10: every SESE region of a
+   reducible graph is reducible),
+2. the factored control-dependence representation over control regions
    (footnote 7),
-4. the PST itself, tying them together on one procedure.
+3. the PST itself, with each region classified by the Figure 7 kinds.
 
 Run:  python examples/region_toolkit.py
 """
 
 from repro import build_pst
-from repro.cfg.intervals import derived_sequence, interval_partition
-from repro.cfg.loops import loop_nest_forest, natural_loops
 from repro.cfg.reducibility import is_reducible
 from repro.controldep.cdg import ControlDependenceGraph
 from repro.core.region_kinds import classify_pst
@@ -42,31 +39,11 @@ proc kernel(n, m) {
 def main() -> None:
     [proc] = lower_program(parse_program(SOURCE))
     cfg = proc.cfg
+    # 1. reducibility
     print(f"{proc.name}: {cfg.num_nodes} blocks, {cfg.num_edges} edges, "
           f"reducible: {is_reducible(cfg)}\n")
 
-    # 1. intervals
-    intervals = interval_partition(cfg)
-    sequence = derived_sequence(cfg)
-    print(f"interval partition: {len(intervals)} intervals "
-          f"(headers: {sorted(str(i.header) for i in intervals)})")
-    print(f"derived sequence: {' -> '.join(str(g.num_nodes) for g in sequence)} nodes "
-          f"(limit 1 <=> reducible)\n")
-
-    # 2. loops (walk the forest so parent links and depths are populated)
-    roots = loop_nest_forest(cfg)
-    loops = []
-    stack = list(roots)
-    while stack:
-        loop = stack.pop()
-        loops.append(loop)
-        stack.extend(loop.children)
-    print(f"natural loops: {len(loops)}; top-level: {len(roots)}")
-    for loop in sorted(loops, key=lambda l: l.depth):
-        print(f"  depth {loop.depth}: header {loop.header}, {len(loop.body)} blocks")
-    print()
-
-    # 3. factored control dependence
+    # 2. factored control dependence
     cdg = ControlDependenceGraph(cfg)
     print(f"control regions: {len(cdg.regions)} "
           f"(factored storage: {cdg.stored_pairs()} pairs vs "
@@ -74,7 +51,7 @@ def main() -> None:
     widest = max(cdg.regions, key=len)
     print(f"largest scheduling scope: {widest}\n")
 
-    # 4. the PST over the same procedure
+    # 3. the PST over the same procedure
     pst = build_pst(cfg)
     kinds = classify_pst(pst)
     by_kind = {}
@@ -82,14 +59,6 @@ def main() -> None:
         by_kind[kind.value] = by_kind.get(kind.value, 0) + 1
     print(f"PST: {len(pst.canonical_regions())} regions, max depth {pst.max_depth()}, "
           f"kinds: {by_kind}")
-    # every natural loop sits inside some loop-kind region
-    from repro.core.region_kinds import RegionKind
-
-    loop_regions = [r for r, k in kinds.items() if k is RegionKind.LOOP and not r.is_root]
-    for loop in loops:
-        containing = [r for r in loop_regions if loop.body <= set(r.nodes())]
-        assert containing, loop
-    print("every natural loop is contained in a LOOP-kind PST region (asserted)")
 
 
 if __name__ == "__main__":

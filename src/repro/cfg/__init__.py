@@ -2,7 +2,7 @@
 
 This package provides the multigraph CFG representation used throughout the
 library, together with construction helpers, traversals, validation,
-reducibility testing, region subgraph extraction, and DOT export.
+T1/T2 reducibility testing, region subgraph extraction, and DOT export.
 
 The representation follows Definition 1 of the paper: a CFG is a directed
 multigraph with distinguished ``start`` and ``end`` nodes such that every node
@@ -21,24 +21,10 @@ from repro.cfg.traversal import (
 )
 from repro.cfg.validate import validate_cfg, check_cfg
 from repro.cfg.reducibility import is_reducible
-from repro.cfg.intervals import (
-    Interval,
-    derived_sequence,
-    interval_partition,
-    is_reducible_by_intervals,
-)
 from repro.cfg.subgraph import region_subgraph
-from repro.cfg.loops import NaturalLoop, loop_nest_forest, natural_loops
 from repro.cfg.dot import cfg_to_dot
 
 __all__ = [
-    "NaturalLoop",
-    "loop_nest_forest",
-    "natural_loops",
-    "Interval",
-    "derived_sequence",
-    "interval_partition",
-    "is_reducible_by_intervals",
     "CFG",
     "Edge",
     "InvalidCFGError",

@@ -72,29 +72,3 @@ def is_reducible(cfg: CFG, entry: Optional[NodeId] = None) -> bool:
             worklist.extend(succs[parent])
     return len(alive) == 1
 
-
-def natural_loop_backedges(cfg: CFG) -> Set[NodeId]:
-    """Targets of retreating edges whose target dominates their source.
-
-    For reducible graphs these are exactly the natural-loop headers.  Used by
-    the region-kind classifier to recognize loop regions.
-    """
-    from repro.dominance.iterative import immediate_dominators
-
-    idom = immediate_dominators(cfg)
-
-    def dominates(a: NodeId, b: NodeId) -> bool:
-        node = b
-        while True:
-            if node == a:
-                return True
-            parent = idom.get(node)
-            if parent is None or parent == node:
-                return False
-            node = parent
-
-    headers: Set[NodeId] = set()
-    for edge in cfg.edges:
-        if dominates(edge.target, edge.source):
-            headers.add(edge.target)
-    return headers

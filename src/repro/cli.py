@@ -662,8 +662,11 @@ def serve_main(argv: List[str], out) -> int:
                 trace_path=args.trace,
             )
         )
+    except ValueError as error:
+        return _bad_flag(error)
+    try:
         server.serve_forever(announce=out)
-    except (OSError, ValueError) as error:  # bad bind address, bad knobs
+    except OSError as error:  # bad bind address
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE_IO
     print("drained cleanly", file=out)
@@ -732,29 +735,22 @@ def soak_main(argv: List[str], out) -> int:
     from repro.service.soak import SoakConfig, run_soak, update_bench_perf
 
     args = build_soak_arg_parser().parse_args(argv)
-    if args.clients < 1 or args.duration <= 0:
-        print("error: --clients must be >= 1 and --duration > 0", file=sys.stderr)
-        return EXIT_USAGE_IO
-    if not 0.0 <= args.edit_rate <= 1.0:
-        print("error: --edit-rate must be within [0, 1]", file=sys.stderr)
-        return EXIT_USAGE_IO
-    config = SoakConfig(
-        duration=args.duration,
-        clients=args.clients,
-        seed=args.seed,
-        fault_rate=args.fault_rate,
-        edit_rate=args.edit_rate,
-        max_cache_bytes=args.max_cache_bytes,
-        max_inflight=args.max_inflight,
-        rate=args.rate,
-        burst=args.burst,
-        trace_path=args.trace,
-    )
     try:
+        config = SoakConfig(
+            duration=args.duration,
+            clients=args.clients,
+            seed=args.seed,
+            fault_rate=args.fault_rate,
+            edit_rate=args.edit_rate,
+            max_cache_bytes=args.max_cache_bytes,
+            max_inflight=args.max_inflight,
+            rate=args.rate,
+            burst=args.burst,
+            trace_path=args.trace,
+        )
         report = run_soak(config, out=out)
     except ValueError as error:  # a bad knob, rejected before anything starts
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE_IO
+        return _bad_flag(error)
     try:
         if args.out is not None:
             with open(args.out, "w") as handle:

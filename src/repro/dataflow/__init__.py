@@ -25,14 +25,9 @@ from repro.dataflow.problems import (
 from repro.dataflow.qpg import QPGResult, build_qpg, solve_qpg
 from repro.dataflow.elimination import solve_elimination
 from repro.dataflow.constprop import NAC, ConstantPropagation
-from repro.dataflow.structural import StructuralSolver, solve_structural
-from repro.dataflow.interval_solver import solve_interval
 
 
 __all__ = [
-    "StructuralSolver",
-    "solve_structural",
-    "solve_interval",
     "NAC",
     "ConstantPropagation",
     "DataflowProblem",

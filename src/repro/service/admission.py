@@ -31,6 +31,7 @@ deterministic tests; everything is thread-safe and stdlib-only.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -54,8 +55,8 @@ class TokenBucket:
         capacity: Optional[int] = None,
         clock=time.monotonic,
     ):
-        if rate is not None and rate <= 0:
-            raise ValueError("rate must be > 0 (or None to disable)")
+        if rate is not None and not (math.isfinite(rate) and rate > 0):
+            raise ValueError("rate must be a finite number > 0")
         self.rate = rate
         self.capacity = capacity if capacity is not None else max(1, int(rate or 1))
         if self.capacity < 1:

@@ -133,6 +133,10 @@ class ServiceConfig:
                 raise ValueError(f"{name} must be a finite number > 0")
         if self.max_cache_bytes < 0:
             raise ValueError("max_cache_bytes must be >= 0")
+        if not 0 <= self.port <= 65535:
+            raise ValueError("port must be within [0, 65535]")
+        if self.burst is not None and self.burst < 1:
+            raise ValueError("burst must be >= 1")
 
 
 class _BadRequest(ValueError):

@@ -30,6 +30,7 @@ graph shapes are all functions of ``SoakConfig.seed``.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -77,6 +78,15 @@ class SoakConfig:
     #: fragmentation, interned request machinery).
     rss_slack_bytes: int = 192 * 1024 * 1024
     trace_path: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError("duration must be a finite number > 0")
+        if self.clients < 1:
+            raise ValueError("clients must be >= 1")
+        for name in ("fault_rate", "edit_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be within [0, 1]")
 
 
 @dataclass
@@ -304,8 +314,8 @@ def _client_loop(
 def run_soak(config: Optional[SoakConfig] = None, out=None) -> SoakReport:
     """Run one chaos soak; always returns a report once it has started.
 
-    A knob the fault plan or the server rejects raises its ``ValueError``
-    before anything starts.
+    A service knob the server rejects raises its ``ValueError``, which
+    opens with the field's name, before anything starts.
     """
     config = config if config is not None else SoakConfig()
     report = SoakReport(config=dict(config.__dict__, bands=list(config.bands)))

@@ -1,9 +1,10 @@
 """Tests for T1/T2 reducibility testing."""
 
-from hypothesis import given
+from hypothesis import given, settings
 
 from repro.cfg.builder import cfg_from_edges
 from repro.cfg.reducibility import is_reducible
+from repro.dominance.iterative import immediate_dominators
 from repro.synth.patterns import (
     diamond,
     irreducible_kernel,
@@ -85,3 +86,39 @@ def test_dag_subsets_reducible(cfg):
 def test_random_dags_reducible():
     for seed in range(10):
         assert is_reducible(random_dag_cfg(seed, 15, 10))
+
+
+def reducible_by_dominators(cfg):
+    """Hecht-Ullman: reducible iff every retreating edge of one DFS from
+    ``start`` enters a node that dominates the edge's source."""
+    idom = immediate_dominators(cfg)
+
+    def dominates(a, b):
+        while b != a and idom[b] != b:
+            b = idom[b]
+        return b == a
+
+    seen, on_path = {cfg.start}, {cfg.start}
+    stack = [(cfg.start, iter(cfg.successors(cfg.start)))]
+    while stack:
+        node, successors = stack[-1]
+        for succ in successors:
+            if succ in on_path:  # a retreating edge
+                if not dominates(succ, node):
+                    return False
+            elif succ not in seen:
+                seen.add(succ)
+                on_path.add(succ)
+                stack.append((succ, iter(cfg.successors(succ))))
+                break
+        else:
+            stack.pop()
+            on_path.discard(node)
+    return True
+
+
+@settings(max_examples=120, deadline=None)
+@given(valid_cfgs())
+def test_t1_t2_matches_dominator_criterion(cfg):
+    """Two independent reducibility criteria agree."""
+    assert is_reducible(cfg) == reducible_by_dominators(cfg)

@@ -1,5 +1,7 @@
 """Tests for the Figure 7 structural region classifier."""
 
+import pytest
+
 from repro.cfg.builder import cfg_from_edges
 from repro.core.pst import build_pst
 from repro.core.region_kinds import (
@@ -16,6 +18,7 @@ from repro.synth.patterns import (
     irreducible_kernel,
     linear,
     loop_while,
+    nested_loops,
     repeat_until_nest,
     switch_ladder,
 )
@@ -51,6 +54,41 @@ def test_while_is_loop():
 def test_repeat_until_is_loop():
     cfg = repeat_until_nest(1)
     assert kind_of_region_containing(cfg, "b0") is RegionKind.LOOP
+
+
+@pytest.mark.parametrize(
+    "cfg, header, body",
+    [
+        pytest.param(loop_while(3), "h", {"h", "b0", "b1", "b2"}, id="while3-h"),
+        pytest.param(
+            nested_loops(3),
+            "h0",
+            {"h0", "h1", "h2", "body", "l0", "l1", "l2"},
+            id="nested_loops3-h0",
+        ),
+        pytest.param(
+            nested_loops(3), "h1", {"h1", "h2", "body", "l1", "l2"}, id="nested_loops3-h1"
+        ),
+        pytest.param(nested_loops(3), "h2", {"h2", "body", "l2"}, id="nested_loops3-h2"),
+        pytest.param(
+            repeat_until_nest(3),
+            "b0",
+            {"b0", "b1", "b2", "c0", "c1", "c2"},
+            id="repeat_nest3-b0",
+        ),
+        pytest.param(
+            repeat_until_nest(3), "b1", {"b1", "b2", "c1", "c2"}, id="repeat_nest3-b1"
+        ),
+        pytest.param(repeat_until_nest(3), "b2", {"b2", "c2"}, id="repeat_nest3-b2"),
+    ],
+)
+def test_a_natural_loop_is_the_loop_region_of_its_header(cfg, header, body):
+    """The innermost region of a natural loop's header is a LOOP region
+    holding exactly the loop's body."""
+    pst = build_pst(cfg)
+    region = pst.region_of(header)
+    assert classify_region(pst, region) is RegionKind.LOOP
+    assert set(region.nodes()) == body
 
 
 def test_self_loop_region_is_loop():

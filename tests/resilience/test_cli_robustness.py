@@ -173,9 +173,17 @@ def test_batch_rejects_negative_retries(source_file, capsys):
         (["batch", "--backoff", "-1"], "--backoff"),
         (["batch", "--deadline", "nan"], "--deadline"),
         (["trace", "--step-budget", "-1"], "--step-budget"),
-        (["serve", "--port", "0", "--default-deadline", "nan"], "default_deadline"),
-        (["soak", "--duration", "0.1", "--max-inflight", "0"], "max_inflight"),
-        (["soak", "--duration", "0.1", "--max-cache-bytes", "-1"], "max_cache_bytes"),
+        (["serve", "--port", "0", "--default-deadline", "nan"], "--default-deadline"),
+        (["soak", "--duration", "0.1", "--max-inflight", "0"], "--max-inflight"),
+        (["soak", "--duration", "0.1", "--max-cache-bytes", "-1"], "--max-cache-bytes"),
+        (["serve", "--port", "0", "--burst", "0"], "--burst"),
+        (["serve", "--port", "0", "--rate", "0"], "--rate"),
+        (["serve", "--port", "-1"], "--port"),
+        (["soak", "--duration", "0.1", "--burst", "0"], "--burst"),
+        (["soak", "--duration", "0.1", "--fault-rate", "2"], "--fault-rate"),
+        (["soak", "--duration", "0.1", "--clients", "0"], "--clients"),
+        (["soak", "--duration", "nan"], "--duration"),
+        (["soak", "--duration", "0.1", "--edit-rate", "2"], "--edit-rate"),
     ],
 )
 def test_a_bad_config_flag_is_one_error_line_and_exit_2(
@@ -183,8 +191,9 @@ def test_a_bad_config_flag_is_one_error_line_and_exit_2(
 ):
     from repro.service.server import AnalysisServer
 
-    # A server that got past its config would return at once, not serve.
-    monkeypatch.setattr(AnalysisServer, "serve_forever", lambda self, announce: None)
+    monkeypatch.setattr(
+        AnalysisServer, "start", lambda self: pytest.fail("a server started")
+    )
     if argv[0] in ("batch", "trace"):
         argv = [argv[0], source_file, *argv[1:]]
     assert run(argv) == (2, "")

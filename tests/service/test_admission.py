@@ -66,6 +66,8 @@ def test_bucket_rejects_nonpositive_rate():
     with pytest.raises(ValueError):
         TokenBucket(rate=0.0)
     with pytest.raises(ValueError):
+        TokenBucket(rate=float("nan"))
+    with pytest.raises(ValueError):
         TokenBucket(rate=1.0, capacity=0)
 
 

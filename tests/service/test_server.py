@@ -250,6 +250,8 @@ def test_requests_past_the_soft_threshold_run_degraded(server):
         {"max_deadline": float("nan")},
         {"max_deadline": 0.0},
         {"max_cache_bytes": -1},
+        {"port": -1},
+        {"burst": 0},
     ],
 )
 def test_service_config_rejects_bad_fields(kwargs):

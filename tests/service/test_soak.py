@@ -138,3 +138,18 @@ def test_failed_report_reports_not_passed():
     report.failures.append("synthetic")
     assert not report.passed
     assert report.to_json()["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"clients": 0},
+        {"duration": float("nan")},
+        {"duration": 0.0},
+        {"edit_rate": 2.0},
+        {"fault_rate": -0.1},
+    ],
+)
+def test_soak_config_rejects_bad_fields(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        SoakConfig(**kwargs)

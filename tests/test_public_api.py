@@ -44,6 +44,16 @@ def test_lazy_exports_raise_clean_attribute_error():
         ("repro.kernel", "AnalysisSession"),
         ("repro.kernel", "session_for"),
         ("repro.dataflow", "IncrementalDataflow"),
+        ("repro.dataflow", "StructuralSolver"),
+        ("repro.dataflow", "solve_structural"),
+        ("repro.dataflow", "solve_interval"),
+        ("repro.cfg", "Interval"),
+        ("repro.cfg", "derived_sequence"),
+        ("repro.cfg", "interval_partition"),
+        ("repro.cfg", "is_reducible_by_intervals"),
+        ("repro.cfg", "NaturalLoop"),
+        ("repro.cfg", "loop_nest_forest"),
+        ("repro.cfg", "natural_loops"),
     ],
 )
 def test_removed_package_attribute_spellings_are_gone(module, name):
